@@ -9,8 +9,13 @@ The three routes:
 plus the identity checks verify_ishida (Todd genus 1), verify_induction_step
 (per-ray difference identity, three forms), Serre duality, and the nef
 lattice-point count. All arithmetic is exact (ints and Fractions).
+
+Per-fan data (faces, cone inverses, move-case rows and degree tables)
+lives in one engine per fan, see engine.py; clear_caches() drops it
+together with the per-divisor memos.
 """
 
+from . import chow, engine, fan, oracle, todd
 from .catalog import build_catalog, catalog_names
 from .chow import (
     CycleClass,
@@ -35,6 +40,7 @@ from .errors import (
     DivisorError,
     FanFormatError,
     FanValidationError,
+    NonSmoothConeError,
     NotAFaceError,
     RecursionBudgetExceeded,
     ScanRegionError,
@@ -65,6 +71,7 @@ from .report import ChiReport, render_verification, run_verification
 from .todd import (
     StepReport,
     chi_hrr,
+    step_intermediate_direct,
     todd_class,
     todd_univariate,
     verify_induction_step,
@@ -72,6 +79,23 @@ from .todd import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Drop every per-fan and per-divisor cache: the fan engines, the Todd
+    classes, the e^D expansions, the recursion memo, the principal-lattice
+    bases and face contribution tables, star fans, and the smooth/complete
+    verdicts. Results never depend on them; only time and memory do."""
+    engine.clear_engines()
+    todd.todd_class.cache_clear()
+    chow._exp_cached.cache_clear()
+    oracle._chi_memo.clear()
+    oracle._principal_lattice_basis.cache_clear()
+    oracle._contribution_table.cache_clear()
+    fan._star_fan_cached.cache_clear()
+    fan.is_smooth.cache_clear()
+    fan.is_complete.cache_clear()
+
 
 __all__ = [
     "Fan", "parse_fan", "format_fan", "is_smooth", "is_complete",
@@ -82,7 +106,7 @@ __all__ = [
     "CycleClass", "Term", "fundamental_class", "multiply_ray_divisor",
     "apply_divisor_polynomial", "degree", "exp_divisor",
     "todd_univariate", "todd_class", "chi_hrr", "verify_ishida",
-    "verify_induction_step", "StepReport",
+    "verify_induction_step", "step_intermediate_direct", "StepReport",
     "chi_recursive", "chi_graded_cohomology", "count_lattice_points",
     "serre_duality_check", "canonical_representative", "is_nef",
     "build_catalog", "catalog_names",
@@ -90,5 +114,5 @@ __all__ = [
     "kernel_backend",
     "ToricError", "FanFormatError", "FanValidationError", "NotAFaceError",
     "DivisorError", "RecursionBudgetExceeded", "ScanRegionError",
-    "__version__",
+    "NonSmoothConeError", "clear_caches", "__version__",
 ]

@@ -10,16 +10,24 @@ transverse (τ, ρ span a cone: coefficient 1), vanishing (they span none),
 and the move case ρ ∈ τ, where D_ρ is rewritten by the dual basis vector m
 of u_ρ inside the lexicographically first maximal cone σ ⊇ τ:
 D_ρ = −Σ_{γ∉σ(1)} ⟨m, u_γ⟩ D_γ  (mod relations vanishing on V(τ)),
-and each summand is transverse because γ ∉ τ.
+and each summand is transverse because γ ∉ τ. By default both cases are
+read from the fan engine (engine.py): the transverse test is a lookup in
+its face set and the move case reads its rewrite row for (σ, ρ). An
+explicit choice of σ takes the same formula through dual_basis_vector.
+
+DegreeTable memoizes deg(base · monomial) against one fixed class, so the
+degree of base times any divisor polynomial is a weighted sum of lookups.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing
+from .engine import engine_for
 from .fan import Fan, spans_cone
 from .intlinalg import dot
 
@@ -70,9 +78,12 @@ def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClas
 
     choose_cone optionally overrides the move-case choice of maximal cone
     σ ⊇ τ (signature (fan, tau) -> cone); any valid choice gives the same
-    degrees, which the test suite exercises.
+    degrees, which the test suite exercises. The default choice is the
+    lexicographically first cone.
     """
     fan = c.fan
+    if not 0 <= rho < len(fan.rays):
+        raise ValueError(f"ray index {rho} out of range")
     out: dict[tuple[int, ...], Fraction] = {}
 
     def add(t, v):
@@ -82,13 +93,31 @@ def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClas
         else:
             out.pop(t, None)
 
+    if choose_cone is None:
+        engine = engine_for(fan)
+        faces = engine.first_cone
+        for tau, coeff in c.parts.items():
+            if rho not in tau:
+                target = tuple(sorted(tau + (rho,)))
+                if target in faces:
+                    add(target, coeff)
+            else:
+                sigma = faces.get(tau)
+                if sigma is None:
+                    sigma = first_cone_containing(fan, tau)
+                for g, p in engine.move_row(sigma, rho):
+                    target = tuple(sorted(tau + (g,)))
+                    if target in faces:
+                        add(target, -p * coeff)
+        return CycleClass(fan, out)
+
     for tau, coeff in c.parts.items():
         if rho not in tau:
             target = spans_cone(fan, tau + (rho,))
             if target is not None:
                 add(target, coeff)
         else:
-            sigma = (choose_cone or first_cone_containing)(fan, tau)
+            sigma = choose_cone(fan, tau)
             m = dual_basis_vector(fan, sigma, rho)
             in_sigma = set(sigma)
             for g, u in enumerate(fan.rays):
@@ -136,24 +165,47 @@ def degree(c: CycleClass) -> Fraction:
     return sum((v for t, v in c.parts.items() if len(t) == n), Fraction(0))
 
 
+class DegreeTable:
+    """deg(base · D_{ρ1} ⋯ D_{ρk}) per ray monomial (ρ1, …, ρk), memoized.
+
+    Factors are applied in the order the monomial lists them, as
+    apply_divisor_polynomial does; only the degrees are kept.
+    """
+
+    __slots__ = ("base", "_degrees")
+
+    def __init__(self, base: CycleClass):
+        self.base = base
+        self._degrees: dict[tuple[int, ...], Fraction] = {}
+
+    def __getitem__(self, mono: tuple[int, ...]) -> Fraction:
+        got = self._degrees.get(mono)
+        if got is None:
+            cls = self.base
+            for rho in mono:
+                cls = multiply_ray_divisor(cls, rho)
+                if not cls.parts:
+                    break
+            got = self._degrees[mono] = degree(cls)
+        return got
+
+
 @lru_cache(maxsize=None)
 def _exp_cached(fan: Fan, coeffs: tuple[int, ...], order: int) -> tuple[Term, ...]:
-    # e^D truncated: term k is D^k / k!, built by iterated sparse multiply
-    terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    cur: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-    linear = {(i,): Fraction(a) for i, a in enumerate(coeffs) if a}
-    for k in range(1, order + 1):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in cur.items():
-            for (i,), a in linear.items():
-                key = tuple(sorted(mono + (i,)))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * a
-        cur = {m: c / k for m, c in nxt.items() if c}
-        for m, co in cur.items():
-            terms[m] = terms.get(m, Fraction(0)) + co
-    return tuple(
-        Term(c, m) for m, c in sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])) if c
-    )
+    # e^D truncated: the sorted monomial Π D_i^{α_i} has coefficient
+    # Π a_i^{α_i} / α_i!, and α_i! is the product of the run counts of i
+    support = [i for i, a in enumerate(coeffs) if a]
+    terms = []
+    for k in range(order + 1):
+        for mono in combinations_with_replacement(support, k):
+            num = den = 1
+            run = 0
+            for j, i in enumerate(mono):
+                num *= coeffs[i]
+                run = run + 1 if j and mono[j - 1] == i else 1
+                den *= run
+            terms.append(Term(Fraction(num, den), mono))
+    return tuple(terms)
 
 
 def exp_divisor(d: TorusDivisor, order: int) -> list[Term]:

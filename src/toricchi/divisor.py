@@ -14,9 +14,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .engine import engine_for
 from .errors import DivisorError
 from .fan import Fan, star_fan
-from .intlinalg import dot, inv_unimodular, solve_integer
+from .intlinalg import dot, solve_integer
 
 log = logging.getLogger(__name__)
 
@@ -83,19 +84,19 @@ def dual_basis_vector(fan: Fan, sigma, rho: int) -> tuple[int, ...]:
     """m with ⟨m, u_ρ⟩ = 1 and ⟨m, u_γ⟩ = 0 for the other rays γ of sigma.
 
     sigma must be a smooth maximal cone containing rho; m is the
-    corresponding column of the inverse ray matrix.
+    corresponding column of the inverse ray matrix, cached by the fan's
+    engine (NonSmoothConeError if sigma is not unimodular).
     """
-    inv = inv_unimodular(fan.ray_matrix(sigma))
-    j = sigma.index(rho)
-    return tuple(inv[r][j] for r in range(fan.dim))
+    sigma = tuple(sigma)
+    return engine_for(fan).dual_basis(sigma)[sigma.index(rho)]
 
 
 def first_cone_containing(fan: Fan, rays) -> tuple[int, ...]:
     """Lexicographically first maximal cone containing the given ray set."""
-    want = set(rays)
-    best = min((c for c in fan.max_cones if want.issubset(c)), default=None)
+    want = tuple(sorted(set(rays)))
+    best = engine_for(fan).first_cone.get(want)
     if best is None:
-        raise DivisorError(f"no maximal cone contains rays {sorted(want)}")
+        raise DivisorError(f"no maximal cone contains rays {list(want)}")
     return best
 
 

@@ -1,0 +1,90 @@
+"""Per-fan intersection engine: what the HRR route derives from the fan alone.
+
+A FanEngine is built once per fan and held in one cache keyed on the fan
+(engine_for). It owns
+
+  first_cone    every face of the fan (sorted ray-index tuple) mapped to the
+                lexicographically first maximal cone containing it; its keys
+                are the face set, so "do these rays span a cone" is one
+                dictionary lookup;
+  dual_basis    per maximal cone, the columns of the inverse ray matrix (the
+                dual basis of the cone's rays), one exact inversion per cone;
+  move_row      per (σ, ρ), the rays γ ∉ σ with ⟨m, u_γ⟩ ≠ 0 for the dual
+                basis vector m of u_ρ in σ, which rewrite D_ρ near V(τ ⊆ σ),
+                so a multiplication in the Chow ring does no linear algebra;
+
+plus slots for the degree tables the todd module fills in: the monomial
+degrees against the Todd class, and against each induction-step class C_ρ.
+Every entry is filled on first use.
+
+The engine holds no references to divisors; per-divisor memos live with the
+routes that use them. toricchi.clear_caches() empties this cache with the
+others.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from .errors import NonSmoothConeError
+from .intlinalg import det_int, dot, inv_unimodular
+
+
+class FanEngine:
+    __slots__ = (
+        "fan", "first_cone", "_dual", "_moves",
+        "td_degrees", "step_degrees",
+    )
+
+    def __init__(self, fan):
+        self.fan = fan
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # max_cones is sorted, so the first cone to claim a face is the lex-first
+        for cone in fan.max_cones:
+            for k in range(len(cone) + 1):
+                for face in combinations(cone, k):
+                    first.setdefault(face, cone)
+        self.first_cone = first
+        self._dual: dict = {}
+        self._moves: dict = {}
+        self.td_degrees = None  # chow.DegreeTable against Td(X)
+        self.step_degrees: dict = {}  # ρ -> chow.DegreeTable against C_ρ
+
+    def dual_basis(self, cone) -> tuple[tuple[int, ...], ...]:
+        """Columns of the inverse ray matrix of a maximal cone: the j-th is
+        the m with ⟨m, u_{cone[j]}⟩ = 1 and ⟨m, u_γ⟩ = 0 for the cone's
+        other rays. Raises NonSmoothConeError unless the determinant is ±1."""
+        got = self._dual.get(cone)
+        if got is None:
+            a = self.fan.ray_matrix(cone)
+            det = det_int(a)
+            if det not in (1, -1):
+                raise NonSmoothConeError(cone, det)
+            got = self._dual[cone] = tuple(zip(*inv_unimodular(a)))
+        return got
+
+    def move_row(self, sigma, rho: int) -> tuple[tuple[int, int], ...]:
+        """(γ, ⟨m, u_γ⟩) for the rays γ ∉ σ with nonzero pairing, where m is
+        the dual basis vector of u_ρ in σ: D_ρ ≡ −Σ ⟨m, u_γ⟩ D_γ on V(τ), τ ⊆ σ."""
+        key = (sigma, rho)
+        got = self._moves.get(key)
+        if got is None:
+            m = self.dual_basis(sigma)[sigma.index(rho)]
+            pairs = ((g, dot(m, u)) for g, u in enumerate(self.fan.rays) if g not in sigma)
+            got = self._moves[key] = tuple((g, p) for g, p in pairs if p)
+        return got
+
+
+_ENGINES: dict = {}
+
+
+def engine_for(fan) -> FanEngine:
+    """The fan's engine, built on first request."""
+    got = _ENGINES.get(fan)
+    if got is None:
+        got = _ENGINES[fan] = FanEngine(fan)
+    return got
+
+
+def clear_engines() -> None:
+    _ENGINES.clear()

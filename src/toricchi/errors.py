@@ -33,3 +33,18 @@ class RecursionBudgetExceeded(ToricError):
 
 class ScanRegionError(ToricError):
     """The cohomology scan region failed its shell stability check."""
+
+
+class NonSmoothConeError(ToricError):
+    """A maximal cone whose ray generators do not form a lattice basis.
+
+    Carries the cone (tuple of ray indices) and its determinant.
+    """
+
+    def __init__(self, cone, determinant: int):
+        self.cone = tuple(cone)
+        self.determinant = determinant
+        super().__init__(
+            f"maximal cone {self.cone} has determinant {determinant}, not ±1: "
+            "the fan is not smooth"
+        )

@@ -21,6 +21,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
+from .engine import engine_for
 from .errors import FanFormatError, FanValidationError, NotAFaceError
 from .intlinalg import (
     det_int,
@@ -71,6 +72,11 @@ class Fan:
             tuple(sorted(tuple(sorted(int(i) for i in c)) for c in self.max_cones)),
         )
         _validate(self)
+        # fans key every per-fan cache; hash the nested tuples once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
+
+    def __hash__(self):
+        return self._hash
 
     def ray_matrix(self, cone) -> list[list[int]]:
         """Rows are the ray generators of the given cone (tuple of indices)."""
@@ -343,19 +349,15 @@ def is_complete(fan: Fan) -> CheckReport:
     return CheckReport(True)
 
 
-@lru_cache(maxsize=None)
 def enumerate_faces(fan: Fan, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-dimensional faces as sorted ray-index tuples, sorted.
 
-    Simpliciality makes every subset of a maximal cone a face, so downward
-    closure from the maximal cones is exhaustive.
+    Simpliciality makes every subset of a maximal cone a face, so the
+    engine's downward closure of the maximal cones is exhaustive.
     """
     if not 0 <= k <= fan.dim:
         raise ValueError(f"face dimension {k} out of range 0..{fan.dim}")
-    faces = set()
-    for cone in fan.max_cones:
-        faces.update(combinations(cone, k))
-    return tuple(sorted(faces))
+    return tuple(sorted(f for f in engine_for(fan).first_cone if len(f) == k))
 
 
 def spans_cone(fan: Fan, ray_indices) -> Optional[tuple[int, ...]]:
@@ -367,11 +369,7 @@ def spans_cone(fan: Fan, ray_indices) -> Optional[tuple[int, ...]]:
     for i in want:
         if not 0 <= i < len(fan.rays):
             raise ValueError(f"ray index {i} out of range")
-    ws = set(want)
-    for cone in fan.max_cones:
-        if ws.issubset(cone):
-            return want
-    return None
+    return want if want in engine_for(fan).first_cone else None
 
 
 class StarFan(NamedTuple):

@@ -31,6 +31,7 @@ from itertools import combinations, product
 
 from . import kernel
 from .divisor import TorusDivisor, canonical_divisor, restrict_divisor
+from .engine import engine_for
 from .errors import RecursionBudgetExceeded, ScanRegionError, ToricError
 from .fan import Fan, enumerate_faces
 from .intlinalg import (
@@ -39,7 +40,6 @@ from .intlinalg import (
     lattice_basis_hnf,
     reduce_mod_lattice,
     solve_rational,
-    solve_unimodular,
 )
 from .todd import chi_hrr
 
@@ -263,11 +263,18 @@ def cohomology_scan_detail(fan: Fan, d: TorusDivisor):
 
 
 def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
-    """m_σ per maximal cone with ⟨m_σ, u_ρ⟩ = −a_ρ on the cone's rays."""
+    """m_σ per maximal cone with ⟨m_σ, u_ρ⟩ = −a_ρ on the cone's rays.
+
+    m_σ = Σ_j −a_{σ_j} · m_j over the cone's dual basis m_j (the columns of
+    its inverse ray matrix, shared with the fan's engine).
+    """
+    engine = engine_for(fan)
     out = []
     for cone in fan.max_cones:
-        rhs = [-d.coeffs[i] for i in cone]
-        out.append(solve_unimodular(fan.ray_matrix(cone), rhs))
+        basis = engine.dual_basis(cone)
+        out.append(
+            tuple(-sum(d.coeffs[i] * m[r] for i, m in zip(cone, basis)) for r in range(fan.dim))
+        )
     return out
 
 

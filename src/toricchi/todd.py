@@ -11,7 +11,10 @@ input ray order, grading truncated at codimension n as it goes.
 χ(O(D)) by Riemann-Roch is degree(e^D · Td). Degrees of ray monomials
 against the Todd class are cached per fan: by linearity of the degree map,
 χ = Σ over monomials of (e^D coefficient) × (cached monomial degree), which
-makes batch verification over many divisors on one fan cheap.
+makes batch verification over many divisors on one fan cheap. The induction
+step's intermediate form works the same way against the step class
+C_ρ = D_ρ · Π over rays γ adjacent to ρ of the Todd factor of γ. Both kinds
+of degree table are held by the fan's engine.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import factorial
 
 from .chow import (
     CycleClass,
-    Term,
+    DegreeTable,
     apply_divisor_polynomial,
     degree,
     exp_divisor,
@@ -31,6 +34,7 @@ from .chow import (
     multiply_ray_divisor,
 )
 from .divisor import TorusDivisor, ray_divisor, restrict_divisor
+from .engine import engine_for
 from .errors import ToricError
 from .fan import Fan, spans_cone
 
@@ -52,13 +56,13 @@ def todd_univariate(order: int) -> tuple[Fraction, ...]:
     return tuple(t)
 
 
-def _apply_todd_factor(cls: CycleClass, rho: int, t) -> CycleClass:
+def _apply_todd_factor(cls: CycleClass, rho: int, t, choose_cone=None) -> CycleClass:
     """cls · Σ_k t_k D_ρ^k, truncated by the grading."""
     n = cls.fan.dim
     acc = cls.scale(t[0])
     power = cls
     for k in range(1, n + 1):
-        power = multiply_ray_divisor(power, rho)
+        power = multiply_ray_divisor(power, rho, choose_cone)
         if not power.parts:
             break
         acc = acc + power.scale(t[k])
@@ -75,14 +79,19 @@ def todd_class(fan: Fan) -> CycleClass:
     return cls
 
 
-@lru_cache(maxsize=None)
-def _monomial_degree(fan: Fan, mono: tuple[int, ...]) -> Fraction:
-    cls = todd_class(fan)
-    for rho in mono:
-        cls = multiply_ray_divisor(cls, rho)
-        if not cls.parts:
-            return Fraction(0)
-    return degree(cls)
+def _td_degrees(fan: Fan) -> DegreeTable:
+    engine = engine_for(fan)
+    if engine.td_degrees is None:
+        engine.td_degrees = DegreeTable(todd_class(fan))
+    return engine.td_degrees
+
+
+def _step_degrees(fan: Fan, rho: int) -> DegreeTable:
+    tables = engine_for(fan).step_degrees
+    got = tables.get(rho)
+    if got is None:
+        got = tables[rho] = DegreeTable(step_class(fan, rho))
+    return got
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -95,9 +104,10 @@ def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) = degree(e^D · Td(X)); exact, asserts integrality."""
     if d.fan != fan:
         d = TorusDivisor(fan, d.coeffs)
+    td = _td_degrees(fan)
     total = Fraction(0)
     for term in exp_divisor(d, fan.dim):
-        total += term.coeff * _monomial_degree(fan, term.rays)
+        total += term.coeff * td[term.rays]
     return _as_int(total, "chi_hrr value")
 
 
@@ -139,24 +149,41 @@ def adjacent_rays(fan: Fan, rho: int) -> list[int]:
     ]
 
 
-def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
-    """Check χ(O_{X'}(D|)) = degree((e^D − e^{D−D_ρ})·Td(X)) three ways."""
-    restricted = restrict_divisor(d, rho)
-    lhs = chi_hrr(restricted.fan, restricted)
-
-    lower = exp_divisor(d - ray_divisor(fan, rho), fan.dim)
-    diff: dict[tuple[int, ...], Fraction] = {t.rays: t.coeff for t in exp_divisor(d, fan.dim)}
-    for t in lower:
-        diff[t.rays] = diff.get(t.rays, Fraction(0)) - t.coeff
-    rhs = sum(
-        (c * _monomial_degree(fan, mono) for mono, c in diff.items() if c), Fraction(0)
-    )
-
+def step_class(fan: Fan, rho: int, choose_cone=None) -> CycleClass:
+    """C_ρ = D_ρ · Π over rays γ adjacent to ρ of the Todd factor of γ."""
     t = todd_univariate(fan.dim)
     cls = fundamental_class(fan)
     for g in adjacent_rays(fan, rho):
-        cls = _apply_todd_factor(cls, g, t)
-    cls = multiply_ray_divisor(cls, rho)
-    intermediate = degree(apply_divisor_polynomial(cls, exp_divisor(d, fan.dim)))
+        cls = _apply_todd_factor(cls, g, t, choose_cone)
+    return multiply_ray_divisor(cls, rho, choose_cone)
+
+
+def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
+    """Check χ(O_{X'}(D|)) = degree((e^D − e^{D−D_ρ})·Td(X)) three ways.
+
+    lhs comes from the star fan, rhs from the Td degree table upstairs and
+    intermediate from the C_ρ degree table upstairs.
+    """
+    restricted = restrict_divisor(d, rho)
+    lhs = chi_hrr(restricted.fan, restricted)
+
+    upper = exp_divisor(d, fan.dim)
+    lower = exp_divisor(d - ray_divisor(fan, rho), fan.dim)
+    diff: dict[tuple[int, ...], Fraction] = {t.rays: t.coeff for t in upper}
+    for t in lower:
+        diff[t.rays] = diff.get(t.rays, Fraction(0)) - t.coeff
+    td = _td_degrees(fan)
+    rhs = sum((c * td[mono] for mono, c in diff.items() if c), Fraction(0))
+
+    step = _step_degrees(fan, rho)
+    intermediate = sum((t.coeff * step[t.rays] for t in upper), Fraction(0))
 
     return StepReport(rho=rho, lhs=lhs, rhs=rhs, intermediate=intermediate)
+
+
+def step_intermediate_direct(fan: Fan, d: TorusDivisor, rho: int, choose_cone=None) -> Fraction:
+    """Uncached route: degree(apply(e^D) to C_ρ). Cross-checks the step
+    table behind verify_induction_step's intermediate, as chi_hrr_direct
+    does for chi_hrr; choose_cone is passed to every multiplication."""
+    cls = step_class(fan, rho, choose_cone)
+    return degree(apply_divisor_polynomial(cls, exp_divisor(d, fan.dim), choose_cone))

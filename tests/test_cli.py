@@ -58,6 +58,20 @@ def test_chi_rejects_bad_divisor(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("method", ["hrr", "recursive"])
+def test_chi_non_smooth_fan_is_bad_input(tmp_path, capsys, method):
+    # cone (0, 1) has determinant 2; both routes need its dual basis
+    path = tmp_path / "cusp.fan"
+    path.write_text("dim 2\nrays\n1 0\n1 2\n-1 -1\ncones\n0 1\n1 2\n2 0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "chi", str(path), "--divisor", "1,0,0", "--method", method
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: maximal cone (0, 1) has determinant 2")
+    assert "Traceback" not in err
+
+
 def test_chi_parametric_catalog_spec(capsys):
     code, out, _ = run_cli(
         capsys, "chi", "catalog:hirzebruch:3", "--divisor", "0,0,0,0"
