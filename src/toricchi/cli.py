@@ -17,7 +17,6 @@ from .catalog import STANDARD, build_catalog
 from .divisor import TorusDivisor
 from .errors import ToricError
 from .fan import Fan, format_fan, is_complete, is_smooth, parse_fan
-from .kernel import backend
 from .oracle import CHI_METHODS, chi_by_method
 from .report import render_verification, run_verification, verification_ok
 from .todd import verify_induction_step, verify_ishida
@@ -133,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Euler characteristics of line bundles on smooth "
         "complete toric varieties.",
     )
-    p.add_argument(
-        "--kernel-info",
-        action="store_true",
-        help="print which scan kernel is active (compiled or pure) and exit",
-    )
     sub = p.add_subparsers(dest="command")
 
     # let option values like "-4..4" or "-1,0,2" through: none of our flags
@@ -187,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.kernel_info:
-        print(f"kernel: {backend()}")
-        return 0
     if not getattr(args, "fn", None):
         parser.print_help()
         return 2

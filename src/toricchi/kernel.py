@@ -1,54 +1,56 @@
-"""Kernel selection: compiled box scan when available, pure Python otherwise.
+"""The box scan of the graded-cohomology route, in pure Python.
 
-The compiled kernel works in int64; before dispatching, the worst-case dot
-product over the requested box and the worst-case accumulated total are
-bounded with exact Python ints, and anything that could overflow falls back
-to the pure kernel (which uses unbounded ints). Set TORIC_PURE_PYTHON=1 to
-force the pure kernel.
+box_sum walks every integer point m of a box and adds table[mask(m)],
+where bit k of mask(m) records that ray k's inequality fails at m. It
+works with Python ints throughout, so no coordinate, bound or table entry
+can overflow. The table may be any mapping indexable by mask: the oracle
+passes an eager tuple of all 2^r entries for small fans and a lazily
+filled dict for fans with many rays.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _scan_py
-
-_impl = None
-if os.environ.get("TORIC_PURE_PYTHON") != "1":
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = None
-
 
 def backend() -> str:
-    return "compiled" if _impl is not None else "pure"
-
-
-_LIMIT = 1 << 62  # headroom below int64 max
-
-
-def _fits_int64(lo, hi, rays, bounds, table) -> bool:
-    worst_dot = 0
-    for u, b in zip(rays, bounds):
-        s = sum(max(abs(l), abs(h)) * abs(c) for l, h, c in zip(lo, hi, u))
-        worst_dot = max(worst_dot, s + abs(b))
-    npoints = 1
-    for l, h in zip(lo, hi):
-        npoints *= max(0, h - l + 1)
-    worst_entry = max((abs(t) for t in table), default=0)
-    return worst_dot < _LIMIT and npoints * worst_entry < _LIMIT
+    """Which box-scan kernel runs: always "pure"."""
+    return "pure"
 
 
 def box_sum(lo, hi, rays, bounds, table) -> int:
-    """Σ over integer m in [lo, hi] of table[mask], bit k of mask set iff
-    ⟨m, rays[k]⟩ < bounds[k]."""
-    if _impl is not None and _fits_int64(lo, hi, rays, bounds, table):
-        return _impl.box_sum(
-            [int(x) for x in lo],
-            [int(x) for x in hi],
-            [[int(c) for c in u] for u in rays],
-            [int(b) for b in bounds],
-            [int(t) for t in table],
-        )
-    return _scan_py.box_sum(lo, hi, rays, bounds, table)
+    """Sum table[mask(m)] over integer points m in the box [lo, hi].
+
+    mask(m) has bit k set iff ⟨m, rays[k]⟩ < bounds[k]. Empty boxes (any
+    lo_i > hi_i) sum to 0; a 0-dimensional box is the single empty point.
+    """
+    n = len(lo)
+    if any(l > h for l, h in zip(lo, hi)):
+        return 0
+    r = len(rays)
+    dots = [0] * r
+    total = 0
+
+    def rec(axis: int) -> None:
+        nonlocal total
+        if axis == n:
+            mask = 0
+            for k in range(r):
+                if dots[k] < bounds[k]:
+                    mask |= 1 << k
+            total += table[mask]
+            return
+        cols = [rays[k][axis] for k in range(r)]
+        saved = dots[:]
+        for k in range(r):
+            dots[k] = saved[k] + lo[axis] * cols[k]
+        v = lo[axis]
+        while True:
+            rec(axis + 1)
+            v += 1
+            if v > hi[axis]:
+                break
+            for k in range(r):
+                dots[k] += cols[k]
+        dots[:] = saved
+
+    rec(0)
+    return total

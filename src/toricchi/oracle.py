@@ -15,6 +15,11 @@ of graded cohomology via face counting: the contribution of m is
 ⟨m, u_ρ⟩ < −a_ρ. The scan region is the bounding box of the hyperplane
 arrangement's vertices padded by 2, then grown shell by shell until two
 consecutive shells contribute exactly 0 (heuristic made safe by checking).
+Every box goes through the one scan kernel, kernel.box_sum, with the fan's
+contribution table: all 2^r entries up front for r ≤ 16 rays, filled per
+mask on first use beyond that. Like the other routes it rejects a fan with
+a non-unimodular maximal cone (NonSmoothConeError), reading the cone
+inverses the fan's engine caches.
 
 count_lattice_points is the nef-case oracle: when the Cartier data pass the
 nef inequalities, χ equals the number of lattice points of the divisor
@@ -123,23 +128,48 @@ def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
     return val
 
 
+def _face_masks(fan: Fan):
+    """(ray mask, (−1)^(k+1)) for every k-face, k = 1..dim: the terms of
+    χ_face of an induced subcomplex."""
+    return [
+        (sum(1 << i for i in face), 1 if k % 2 == 1 else -1)
+        for k in range(1, fan.dim + 1)
+        for face in enumerate_faces(fan, k)
+    ]
+
+
+class _LazyContributions(dict):
+    """mask -> 1 − χ_face(mask), each entry computed from the face list the
+    first time the scan reads it."""
+
+    __slots__ = ("_faces",)
+
+    def __init__(self, faces):
+        super().__init__()
+        self._faces = faces
+
+    def __missing__(self, mask: int) -> int:
+        chi_face = sum(s for fmask, s in self._faces if fmask & mask == fmask)
+        value = self[mask] = 1 - chi_face
+        return value
+
+
 @lru_cache(maxsize=None)
 def _contribution_table(fan: Fan):
     """table[mask] = 1 − χ_face(subcomplex induced on the rays in mask).
 
-    Built for all 2^r masks with a subset-sum sweep; only used for fans
-    with at most 16 rays (catalog fans are far smaller).
+    Up to 16 rays, a tuple of all 2^r entries built with a subset-sum sweep;
+    beyond that, where 2^r entries cannot be afforded, a dict filled per
+    mask on first use. The eager tuple scans faster when it fits.
     """
+    faces = _face_masks(fan)
     r = len(fan.rays)
+    if r > 16:
+        return _LazyContributions(faces)
     size = 1 << r
     chi_face = [0] * size
-    for k in range(1, fan.dim + 1):
-        sign = 1 if k % 2 == 1 else -1
-        for face in enumerate_faces(fan, k):
-            mask = 0
-            for i in face:
-                mask |= 1 << i
-            chi_face[mask] += sign
+    for mask, sign in faces:
+        chi_face[mask] += sign
     for b in range(r):
         bit = 1 << b
         for mask in range(size):
@@ -191,19 +221,21 @@ def _scan(fan: Fan, coeffs):
     n = fan.dim
     if n == 0:
         return 1, (), (), 0
-    rays = [list(u) for u in fan.rays]
+    # the scan itself never inverts a cone; this rejects non-smooth fans
+    engine = engine_for(fan)
+    for cone in fan.max_cones:
+        engine.dual_basis(cone)
+    rays = fan.rays
     bounds = [-a for a in coeffs]
+    table = _contribution_table(fan)
     lo, hi = _arrangement_box(fan, coeffs)
-    if len(fan.rays) <= 16:
-        table = list(_contribution_table(fan))
-        def region_sum(rlo, rhi):
-            return kernel.box_sum(rlo, rhi, rays, bounds, table)
-    else:
-        region_sum = _lazy_region_sum(fan, bounds)
-    total = region_sum(lo, hi)
+    total = kernel.box_sum(lo, hi, rays, bounds, table)
     zeros = 0
     for shells in range(_MAX_SHELLS):
-        s = sum(region_sum(slo, shi) for slo, shi in _shell_slabs(lo, hi))
+        s = sum(
+            kernel.box_sum(slo, shi, rays, bounds, table)
+            for slo, shi in _shell_slabs(lo, hi)
+        )
         total += s
         if s == 0:
             zeros += 1
@@ -216,38 +248,6 @@ def _scan(fan: Fan, coeffs):
     raise ScanRegionError(
         f"cohomology scan did not stabilize within {_MAX_SHELLS} shells"
     )
-
-
-def _lazy_region_sum(fan: Fan, bounds):
-    """Fallback for many-ray fans: per-mask contributions computed on demand."""
-    faces = [
-        (sum(1 << i for i in face), 1 if len(face) % 2 == 1 else -1)
-        for k in range(1, fan.dim + 1)
-        for face in enumerate_faces(fan, k)
-    ]
-    cache: dict[int, int] = {}
-    rays = fan.rays
-
-    def contribution(mask: int) -> int:
-        got = cache.get(mask)
-        if got is None:
-            chi_face = sum(s for fmask, s in faces if fmask & mask == fmask)
-            got = cache[mask] = 1 - chi_face
-        return got
-
-    def region_sum(rlo, rhi):
-        if any(l > h for l, h in zip(rlo, rhi)):
-            return 0
-        total = 0
-        for m in product(*(range(l, h + 1) for l, h in zip(rlo, rhi))):
-            mask = 0
-            for k, u in enumerate(rays):
-                if dot(m, u) < bounds[k]:
-                    mask |= 1 << k
-            total += contribution(mask)
-        return total
-
-    return region_sum
 
 
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:

@@ -58,9 +58,9 @@ def test_chi_rejects_bad_divisor(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("method", ["hrr", "recursive"])
+@pytest.mark.parametrize("method", ["hrr", "recursive", "cohomology"])
 def test_chi_non_smooth_fan_is_bad_input(tmp_path, capsys, method):
-    # cone (0, 1) has determinant 2; both routes need its dual basis
+    # cone (0, 1) has determinant 2; every route reads its dual basis
     path = tmp_path / "cusp.fan"
     path.write_text("dim 2\nrays\n1 0\n1 2\n-1 -1\ncones\n0 1\n1 2\n2 0\n", encoding="utf-8")
     code, out, err = run_cli(
@@ -146,12 +146,6 @@ def test_bad_coeff_range_is_usage_error(capsys, literal):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--coeff-range" in err
-
-
-def test_kernel_info_flag(capsys):
-    code, out, _ = run_cli(capsys, "--kernel-info")
-    assert code == 0
-    assert out.strip() in ("kernel: compiled", "kernel: pure")
 
 
 def test_run_verification_trial_zero_is_zero_divisor():

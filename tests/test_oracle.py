@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from toricchi import oracle
 from toricchi.catalog import build_catalog, projective_space
 from toricchi.divisor import TorusDivisor, canonical_divisor, principal_divisor, zero_divisor
 from toricchi.errors import RecursionBudgetExceeded, ToricError
+from toricchi.fan import Fan
 from toricchi.oracle import (
     canonical_representative,
     cartier_data,
@@ -152,20 +154,38 @@ def test_shell_slabs_tile_the_shell():
     assert seen == want
 
 
-def test_lazy_region_sum_matches_table_path():
-    # same numbers with and without the precomputed mask table
-    fan = build_catalog("bl3_p2")
-    d = TorusDivisor(fan, (2, -1, 0, 1, -2, 0))
-    coeffs = d.coeffs
-    bounds = [-a for a in coeffs]
-    lazy = oracle._lazy_region_sum(fan, bounds)
-    rays = [list(u) for u in fan.rays]
-    table = list(oracle._contribution_table(fan))
-    from toricchi import kernel
+@pytest.mark.parametrize("name", ["bl3_p2", "p1xp1xp1"])
+def test_lazy_contributions_match_eager_table(name):
+    # the many-ray table, filled per mask, against the subset-sum sweep
+    fan = build_catalog(name)
+    eager = oracle._contribution_table(fan)
+    lazy = oracle._LazyContributions(oracle._face_masks(fan))
+    assert [lazy[mask] for mask in range(1 << len(fan.rays))] == list(eager)
 
-    for box in (((-4, -4), (4, 4)), ((0, 0), (3, 5)), ((2, 2), (1, 1))):
-        lo, hi = box
-        assert lazy(lo, hi) == kernel.box_sum(lo, hi, rays, bounds, table)
+
+def test_many_ray_fan_three_routes_agree():
+    # every primitive (a, b) with max(|a|, |b|) <= 2, plus (3, 1), in angular
+    # order; consecutive rays span unimodular cones. With 17 rays the
+    # cohomology scan reads the lazily filled table.
+    rays = [
+        (a, b)
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+        if (a, b) != (0, 0) and math.gcd(a, b) == 1
+    ] + [(3, 1)]
+    rays.sort(key=lambda u: math.atan2(u[1], u[0]))
+    fan = Fan(2, tuple(rays), tuple((i, (i + 1) % len(rays)) for i in range(len(rays))))
+    assert len(fan.rays) == 17
+    assert isinstance(oracle._contribution_table(fan), oracle._LazyContributions)
+    rng = random.Random(17)
+    divisors = [(1,) * 17, (0,) * 17, (-1,) * 17]
+    divisors += [tuple(rng.randint(-2, 2) for _ in range(17)) for _ in range(2)]
+    for coeffs in divisors:
+        d = TorusDivisor(fan, coeffs)
+        chi = chi_hrr(fan, d)
+        assert chi_recursive(fan, d) == chi
+        assert chi_graded_cohomology(fan, d) == chi
+    assert chi_hrr(fan, TorusDivisor(fan, (1,) * 17)) == -4
 
 
 def test_cartier_data_p2():
