@@ -42,6 +42,7 @@ from .errors import (
     FanValidationError,
     NonSmoothConeError,
     NotAFaceError,
+    NotCompleteError,
     RecursionBudgetExceeded,
     ScanRegionError,
     ToricError,
@@ -114,5 +115,5 @@ __all__ = [
     "kernel_backend",
     "ToricError", "FanFormatError", "FanValidationError", "NotAFaceError",
     "DivisorError", "RecursionBudgetExceeded", "ScanRegionError",
-    "NonSmoothConeError", "clear_caches", "__version__",
+    "NonSmoothConeError", "NotCompleteError", "clear_caches", "__version__",
 ]

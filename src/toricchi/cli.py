@@ -30,7 +30,7 @@ def _load_fan(spec: str) -> tuple[str, Fan]:
     path = Path(spec)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ToricError(f"cannot read fan file {spec}: {exc}") from None
     return path.stem, parse_fan(text)
 
@@ -59,6 +59,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo_i > hi_i:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo_i, hi_i
+
+
+def _nonnegative_int(text: str) -> int:
+    # argparse type= callable: a ValueError or ArgumentTypeError is a usage error
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def cmd_check(args) -> int:
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-hrr", help="all chi methods + identities on random divisors")
     fan_arg(sp)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--trials", type=_nonnegative_int, default=10)
     sp.add_argument("--coeff-range", type=_parse_range, default=(-4, 4), metavar="LO..HI")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=cmd_verify_hrr)

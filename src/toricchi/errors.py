@@ -48,3 +48,12 @@ class NonSmoothConeError(ToricError):
             f"maximal cone {self.cone} has determinant {determinant}, not ±1: "
             "the fan is not smooth"
         )
+
+
+class NotCompleteError(ToricError):
+    """A fan whose support is not all of R^n. Carries the witness wall (tuple
+    of ray indices) that does not lie in exactly two maximal cones."""
+
+    def __init__(self, wall, reason: str):
+        self.wall = tuple(wall)
+        super().__init__(f"the fan is not complete: {reason}")

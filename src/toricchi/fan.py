@@ -5,8 +5,8 @@ the maximal cones (as sorted tuples of ray indices). Construction validates
 structure exactly: primitive distinct rays, full-dimensional simplicial
 maximal cones, every ray used, and the fan condition (any two maximal cones
 meet in a common face). Smoothness and completeness are separate checks
-returning witness reports, so a structurally valid but non-smooth fan can
-still be inspected.
+returning witness reports, so a structurally valid but non-smooth or
+non-complete fan can still be inspected; require_complete raises instead.
 
 There is no floating point anywhere: memberships and intersections are
 decided with Fraction arithmetic and integer normal forms.
@@ -14,7 +14,6 @@ decided with Fraction arithmetic and integer normal forms.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -22,28 +21,25 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .engine import engine_for
-from .errors import FanFormatError, FanValidationError, NotAFaceError
+from .errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError
 from .intlinalg import (
     det_int,
-    inv_rational,
     kernel_vector,
     smith_diagonal,
     solve_rational,
     vector_gcd,
 )
 
-# fixed seed for the completeness point sweep; determinism is part of the contract
-_SWEEP_SEED = 1729
-_SWEEP_SAMPLES = 1000
-_SWEEP_BOX = 1000
-
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a validation check; reason holds the witness on failure."""
+    """Outcome of a validation check. On failure, reason describes it and
+    witness holds the offending ray indices: the non-unimodular cone, or
+    the open wall."""
 
     ok: bool
     reason: str = ""
+    witness: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -285,20 +281,25 @@ def is_smooth(fan: Fan) -> CheckReport:
         d = det_int(fan.ray_matrix(cone))
         if d not in (1, -1):
             return CheckReport(
-                False, f"maximal cone {k} {cone} has determinant {d}, not ±1"
+                False, f"maximal cone {k} {cone} has determinant {d}, not ±1", cone
             )
     return CheckReport(True)
 
 
 @lru_cache(maxsize=None)
 def is_complete(fan: Fan) -> CheckReport:
-    """Operational completeness criterion.
+    """Completeness: every (n−1)-face (wall) lies in exactly two maximal cones.
 
-    (a) every (n−1)-face (wall) lies in exactly two maximal cones;
-    (b) the maximal-cone adjacency graph is connected;
-    (c) a seeded sweep of 1000 integer points finds each inside some cone.
-    (a)+(b) is the standard pseudomanifold criterion; (c) guards the
-    implementation. All three are exact (the sweep uses Fraction solves).
+    The wall count is exact for a Fan, because construction has already
+    checked the fan condition. Two full-dimensional simplicial cones that
+    share a wall then meet only in that wall, so they lie on opposite
+    sides of it, and every point in the relative interior of a wall with
+    two cones is interior to the support. If the support is not all of
+    R^n, a generic segment from inside a cone to a point outside the
+    support leaves the support through the relative interior of some wall
+    (it misses every face of dimension n−2 or less), and that wall lies in
+    only one cone. So the fan is complete exactly when every wall lies in
+    two cones; the witness is the first wall in sorted order that does not.
     """
     n = fan.dim
     if n == 0:
@@ -310,43 +311,17 @@ def is_complete(fan: Fan) -> CheckReport:
     for wall, owners in sorted(walls.items()):
         if len(owners) != 2:
             return CheckReport(
-                False, f"wall {wall} lies in {len(owners)} maximal cone(s), expected 2"
+                False, f"wall {wall} lies in {len(owners)} maximal cone(s), expected 2", wall
             )
-    # adjacency connectivity via shared walls
-    adj: dict[int, set[int]] = {k: set() for k in range(len(fan.max_cones))}
-    for owners in walls.values():
-        a, b = owners
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(fan.max_cones):
-        return CheckReport(
-            False,
-            f"adjacency graph disconnected: component of cone 0 has {len(seen)} "
-            f"of {len(fan.max_cones)} cones",
-        )
-    # seeded containment sweep (integer points in a box; exact membership)
-    inverses = [inv_rational(fan.ray_matrix(c)) for c in fan.max_cones]
-    rng = random.Random(_SWEEP_SEED)
-    for _ in range(_SWEEP_SAMPLES):
-        pt = [0] * n
-        while not any(pt):
-            pt = [rng.randint(-_SWEEP_BOX, _SWEEP_BOX) for _ in range(n)]
-        covered = False
-        for inv in inverses:
-            lam = [sum(pt[r] * inv[r][j] for r in range(n)) for j in range(n)]
-            if all(x >= 0 for x in lam):
-                covered = True
-                break
-        if not covered:
-            return CheckReport(False, f"point {tuple(pt)} not covered by any maximal cone")
     return CheckReport(True)
+
+
+def require_complete(fan: Fan) -> None:
+    """Raise NotCompleteError with the open wall unless the fan is complete;
+    the chi and verify entry points call this first."""
+    report = is_complete(fan)
+    if not report:
+        raise NotCompleteError(report.witness, report.reason)
 
 
 def enumerate_faces(fan: Fan, k: int) -> tuple[tuple[int, ...], ...]:

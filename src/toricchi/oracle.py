@@ -38,7 +38,7 @@ from . import kernel
 from .divisor import TorusDivisor, canonical_divisor, restrict_divisor
 from .engine import engine_for
 from .errors import RecursionBudgetExceeded, ScanRegionError, ToricError
-from .fan import Fan, enumerate_faces
+from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import (
     det_int,
     dot,
@@ -78,6 +78,7 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
     only); the result is provably order-independent, and passing an order
     uses a fresh memo table so different orders genuinely recompute.
     """
+    require_complete(fan)
     budget = [int(os.environ.get("TORIC_RECURSION_BUDGET", DEFAULT_RECURSION_BUDGET))]
     if ray_order is not None:
         ray_order = tuple(ray_order)
@@ -252,6 +253,7 @@ def _scan(fan: Fan, coeffs):
 
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the verified scan region."""
+    require_complete(fan)
     total, _, _, _ = _scan(fan, d.coeffs)
     return total
 
@@ -295,6 +297,7 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     For nef divisors on complete fans the polytope is the convex hull of
     the Cartier data, so their bounding box bounds the enumeration.
     """
+    require_complete(fan)
     if fan.dim == 0:
         return 1
     if not is_nef(fan, d):

@@ -36,7 +36,7 @@ from .chow import (
 from .divisor import TorusDivisor, ray_divisor, restrict_divisor
 from .engine import engine_for
 from .errors import ToricError
-from .fan import Fan, spans_cone
+from .fan import Fan, require_complete, spans_cone
 
 
 def todd_generating_series(order: int) -> list[Fraction]:
@@ -102,6 +102,7 @@ def _as_int(value: Fraction, what: str) -> int:
 
 def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) = degree(e^D · Td(X)); exact, asserts integrality."""
+    require_complete(fan)
     if d.fan != fan:
         d = TorusDivisor(fan, d.coeffs)
     td = _td_degrees(fan)
@@ -118,6 +119,7 @@ def chi_hrr_direct(fan: Fan, d: TorusDivisor) -> Fraction:
 
 def verify_ishida(fan: Fan) -> bool:
     """Todd genus check: degree(Td(X)) must be exactly 1."""
+    require_complete(fan)
     return degree(todd_class(fan)) == Fraction(1)
 
 
@@ -164,6 +166,7 @@ def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
     lhs comes from the star fan, rhs from the Td degree table upstairs and
     intermediate from the C_ρ degree table upstairs.
     """
+    require_complete(fan)
     restricted = restrict_divisor(d, rho)
     lhs = chi_hrr(restricted.fan, restricted)
 

@@ -72,6 +72,21 @@ def test_chi_non_smooth_fan_is_bad_input(tmp_path, capsys, method):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["hrr", "recursive", "cohomology"])
+def test_chi_non_complete_fan_is_bad_input(tmp_path, capsys, method):
+    # one quadrant: no route may print a number for a fan that is not complete
+    path = tmp_path / "quadrant.fan"
+    path.write_text("dim 2\nrays\n1 0\n0 1\ncones\n0 1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "chi", str(path), "--divisor", "1,1", "--method", method
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the fan is not complete: wall (0,) lies in 1 maximal cone(s), expected 2\n"
+    )
+
+
 def test_chi_parametric_catalog_spec(capsys):
     code, out, _ = run_cli(
         capsys, "chi", "catalog:hirzebruch:3", "--divisor", "0,0,0,0"
@@ -136,6 +151,25 @@ def test_missing_fan_file(capsys):
     code, _, err = run_cli(capsys, "check", "/no/such/file.fan")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_fan_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "latin1.fan"
+    path.write_bytes(b"dim 2\nrays\n1 0\xff\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read fan file")
+    assert "Traceback" not in err
+
+
+def test_negative_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-hrr", "catalog:p2", "--trials", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err
 
 
 @pytest.mark.parametrize("literal", ["xyz", "1..z", "5..2", "4"])

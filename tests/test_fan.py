@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from toricchi.catalog import build_catalog, catalog_names, hirzebruch, projective_space
-from toricchi.errors import FanFormatError, FanValidationError, NotAFaceError
+from toricchi.divisor import TorusDivisor
+from toricchi.errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError
 from toricchi.fan import (
     Fan,
     enumerate_faces,
@@ -14,6 +16,9 @@ from toricchi.fan import (
     spans_cone,
     star_fan,
 )
+from toricchi.intlinalg import inv_rational
+from toricchi.oracle import chi_graded_cohomology, chi_recursive, count_lattice_points
+from toricchi.todd import chi_hrr, verify_induction_step, verify_ishida
 
 P2_TEXT = """\
 # projective plane
@@ -124,13 +129,85 @@ def test_is_complete():
     # single smooth cone: the wall (1,0) bounds only one cone
     report = is_complete(Fan(2, ((1, 0), (0, 1)), ((0, 1),)))
     assert not report
+    assert report.witness == (0,)
     assert not is_complete(Fan(1, ((1,),), ((0,),)))
 
 
 def test_is_complete_disconnected_support():
-    # two opposite quadrants share no wall; point sweep must catch the gaps
+    # two opposite quadrants share no wall, so each wall lies in one cone
     report = is_complete(Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3))))
     assert not report
+
+
+def _sweep_covers(fan: Fan, samples: int = 1000, box: int = 1000) -> bool:
+    """The seeded point sweep that is_complete once ran, kept as an oracle:
+    every sampled nonzero integer point must lie in some maximal cone,
+    decided exactly with Fraction inverses of the cones' ray matrices."""
+    n = fan.dim
+    inverses = [inv_rational(fan.ray_matrix(c)) for c in fan.max_cones]
+    rng = random.Random(1729)
+    for _ in range(samples):
+        pt = [0] * n
+        while not any(pt):
+            pt = [rng.randint(-box, box) for _ in range(n)]
+        if not any(
+            all(sum(pt[r] * inv[r][j] for r in range(n)) >= 0 for j in range(n))
+            for inv in inverses
+        ):
+            return False
+    return True
+
+
+def _drop_cones(fan: Fan, drop) -> Fan:
+    """The fan of the maximal cones not in drop, keeping only the rays
+    still in use (renumbered in their old order)."""
+    cones = [c for k, c in enumerate(fan.max_cones) if k not in drop]
+    used = sorted({i for c in cones for i in c})
+    new = {old: k for k, old in enumerate(used)}
+    rays = tuple(fan.rays[i] for i in used)
+    return Fan(fan.dim, rays, tuple(tuple(new[i] for i in c) for c in cones))
+
+
+def _completeness_corpus():
+    """(label, fan, complete?): every catalog fan, and each with one and
+    with two seeded cones dropped, which can no longer be complete."""
+    rng = random.Random(5)
+    for name in catalog_names():
+        fan = build_catalog(name)
+        yield name, fan, True
+        for k in (1, 2):
+            if k < len(fan.max_cones):
+                drop = set(rng.sample(range(len(fan.max_cones)), k))
+                yield f"{name} without {sorted(drop)}", _drop_cones(fan, drop), False
+
+
+def test_wall_count_matches_point_sweep():
+    for label, fan, complete in _completeness_corpus():
+        assert bool(is_complete(fan)) == _sweep_covers(fan) == complete, label
+
+
+QUADRANT = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, d: chi_hrr(f, d),
+        lambda f, d: chi_recursive(f, d),
+        lambda f, d: chi_graded_cohomology(f, d),
+        lambda f, d: count_lattice_points(f, d),
+        lambda f, d: verify_ishida(f),
+        lambda f, d: verify_induction_step(f, d, 0),
+    ],
+    ids=["chi_hrr", "chi_recursive", "chi_graded_cohomology", "count_lattice_points",
+         "verify_ishida", "verify_induction_step"],
+)
+def test_entry_points_reject_non_complete_fan(call):
+    # no route has a χ to give off a complete fan; each must refuse, not answer
+    with pytest.raises(NotCompleteError) as exc:
+        call(QUADRANT, TorusDivisor(QUADRANT, (1, 1)))
+    assert exc.value.wall == (0,)
+    assert "not complete" in str(exc.value)
 
 
 def test_enumerate_faces_p2():
