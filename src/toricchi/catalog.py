@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import ToricError
+from .errors import ToricError, exact_ints
 from .fan import Fan
 
 
@@ -113,7 +113,7 @@ _BY_NAME = {e.name: e for e in STANDARD}
 
 def build_catalog(name: str, params=()) -> Fan:
     """Fan for a catalog name: a STANDARD instance or family(params)."""
-    params = tuple(int(p) for p in params)
+    params = exact_ints(params, ToricError, "catalog parameters")
     if name in _BY_NAME:
         entry = _BY_NAME[name]
         if params:

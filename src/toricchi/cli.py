@@ -26,6 +26,10 @@ def _load_fan(spec: str) -> tuple[str, Fan]:
     if spec.startswith("catalog:"):
         parts = spec.split(":")[1:]
         name, params = parts[0], parts[1:]
+        try:
+            params = [int(p) for p in params]
+        except ValueError:
+            raise ToricError(f"catalog parameters: expected integers, got {spec!r}") from None
         return name, build_catalog(name, params)
     path = Path(spec)
     try:

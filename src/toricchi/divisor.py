@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from .engine import engine_for
-from .errors import DivisorError
+from .errors import DivisorError, exact_ints
 from .fan import Fan, star_fan
 from .intlinalg import dot, solve_integer
 
@@ -30,7 +30,8 @@ class TorusDivisor:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        coeffs = exact_ints(self.coeffs, DivisorError, "divisor coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != len(self.fan.rays):
             raise DivisorError(
                 f"{len(self.coeffs)} coefficients for {len(self.fan.rays)} rays"
@@ -74,7 +75,7 @@ def canonical_divisor(fan: Fan) -> TorusDivisor:
 
 def principal_divisor(fan: Fan, m) -> TorusDivisor:
     """div(χ^m): coefficient ⟨m, u_ρ⟩ at each ray."""
-    m = tuple(int(x) for x in m)
+    m = exact_ints(m, DivisorError, "character coordinates")
     if len(m) != fan.dim:
         raise DivisorError(f"character {m} has wrong length for dimension {fan.dim}")
     return TorusDivisor(fan, tuple(dot(m, u) for u in fan.rays))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+turns non-integer input at the API boundary into one of them."""
+
+import operator
 
 
 class ToricError(Exception):
@@ -57,3 +60,13 @@ class NotCompleteError(ToricError):
     def __init__(self, wall, reason: str):
         self.wall = tuple(wall)
         super().__init__(f"the fan is not complete: {reason}")
+
+
+def exact_ints(values, error: type[ToricError], what: str) -> tuple[int, ...]:
+    """values as a tuple of ints. Only exact integer types pass
+    (operator.index): 2.9 or Fraction(5, 2) raise error naming what,
+    instead of being truncated to a different number."""
+    try:
+        return tuple(operator.index(x) for x in values)
+    except TypeError:
+        raise error(f"{what}: expected integers, got {values!r}") from None

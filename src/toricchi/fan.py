@@ -2,11 +2,13 @@
 
 A Fan holds the ambient lattice dimension, the primitive ray generators, and
 the maximal cones (as sorted tuples of ray indices). Construction validates
-structure exactly: primitive distinct rays, full-dimensional simplicial
-maximal cones, every ray used, and the fan condition (any two maximal cones
-meet in a common face). Smoothness and completeness are separate checks
-returning witness reports, so a structurally valid but non-smooth or
-non-complete fan can still be inspected; require_complete raises instead.
+structure exactly: integer input (a float or Fraction is rejected, never
+truncated), primitive distinct rays, full-dimensional simplicial maximal
+cones, every ray used, and the fan condition (any two maximal cones meet in
+a common face), decided for each pair in the coordinates of one of its
+cones. Smoothness and completeness are separate checks returning witness
+reports, so a structurally valid but non-smooth or non-complete fan can
+still be inspected; require_complete raises instead.
 
 There is no floating point anywhere: memberships and intersections are
 decided with Fraction arithmetic and integer normal forms.
@@ -17,16 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .engine import engine_for
-from .errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError
+from .errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError, exact_ints
 from .intlinalg import (
     det_int,
+    inv_rational,
     kernel_vector,
+    primitive_vector,
     smith_diagonal,
-    solve_rational,
     vector_gcd,
 )
 
@@ -60,13 +64,13 @@ class Fan:
     max_cones: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
+        (dim,) = exact_ints((self.dim,), FanValidationError, "dimension")
+        rays = tuple(exact_ints(r, FanValidationError, "ray coordinates") for r in self.rays)
+        cones = (exact_ints(c, FanValidationError, "cone ray indices") for c in self.max_cones)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", rays)
         # canonical cone order: the same geometric fan always compares equal
-        object.__setattr__(
-            self,
-            "max_cones",
-            tuple(sorted(tuple(sorted(int(i) for i in c)) for c in self.max_cones)),
-        )
+        object.__setattr__(self, "max_cones", tuple(sorted(tuple(sorted(c)) for c in cones)))
         _validate(self)
         # fans key every per-fan cache; hash the nested tuples once, not per lookup
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
@@ -123,67 +127,55 @@ def _validate(fan: Fan) -> None:
     for i in range(len(fan.rays)):
         if i not in used:
             raise FanValidationError(f"unused ray {i} {fan.rays[i]}")
-    _check_fan_condition(fan)
+    _check_fan_condition(n, fan.rays, fan.max_cones)
 
 
-def _cone_member_coeffs(fan: Fan, cone, point):
-    """Fraction coefficients expressing point over cone's rays, or None.
-
-    cone's rays must be linearly independent (guaranteed for faces of
-    maximal cones); the expansion is then unique when it exists.
-    """
-    if not cone:
-        return [] if not any(point) else None
-    a = [[fan.rays[i][r] for i in cone] for r in range(fan.dim)]
-    return solve_rational(a, list(point))
-
-
-def _check_fan_condition(fan: Fan) -> None:
+def _check_fan_condition(n: int, rays, cones) -> None:
     """Every pairwise intersection of maximal cones must be their common face.
 
-    For simplicial cones this reduces to: cone(A) ∩ cone(B) ⊆ cone(A∩B).
-    The intersection is enumerated exactly: a point of it is U^T·λ = W^T·μ
-    with λ, μ ≥ 0, so generators correspond to extreme rays of
-    {z ≥ 0 : M·z = 0} with M = [U^T | −W^T]; each extreme ray's support
-    carries a one-dimensional kernel, so scanning supports of size ≤ n+1
-    and keeping the sign-definite kernel vectors yields a generating set.
+    Each pair (A, B) is decided in A's coordinates (one Fraction inverse per
+    cone). Let S = A ∩ B, k = |B∖S|, and C the k×k matrix of the
+    A-coordinates on A∖S of the rays of B∖S. A point of cone(B) outside
+    cone(S) has B-coordinates μ ≥ 0, μ ≠ 0 on B∖S; it lies in cone(A) when
+    its A-coordinates are ≥ 0, which is Cμ ≥ 0 on A∖S and can always be
+    reached on S by adding rays of S. So the cones meet outside cone(S)
+    exactly when the pointed cone {μ ≥ 0 : Cμ ≥ 0} is not {0}, that is, when
+    it has an extreme ray: a kernel_vector of k−1 of its 2k rows (the k unit
+    rows and the rows of C), with one sign ≥ 0 on every row. For a shared
+    wall (k = 1) this is the sign test: the ray of B off the wall must have
+    a negative A-coordinate. The error's witness is Σ μ_b u_b with its
+    negative A-coordinates on S raised to 0, scaled to a primitive vector.
     """
-    n = fan.dim
     if n == 0:
         return
-    for a, b in combinations(fan.max_cones, 2):
-        shared = sorted(set(a) & set(b))
-        u = [fan.rays[i] for i in a]
-        w = [fan.rays[j] for j in b]
-        cols = len(a) + len(b)
-        m_rows = [
-            [u[c][r] for c in range(len(a))] + [-w[c][r] for c in range(len(b))]
-            for r in range(n)
+    inverses = {c: inv_rational([rays[i] for i in c]) for c in cones}
+    for a, b in combinations(cones, 2):
+        inv = inverses[a]
+        outside = [i for i in b if i not in a]
+        k = len(outside)
+        # A-coordinates of each ray of B∖S, indexed by position in A
+        coords = [
+            [sum(rays[i][r] * inv[r][p] for r in range(n)) for p in range(n)]
+            for i in outside
         ]
-        witnesses = set()
-        for size in range(1, min(cols, n + 1) + 1):
-            for sub in combinations(range(cols), size):
-                rows = [[row[c] for c in sub] for row in m_rows]
-                z = kernel_vector(rows, size)
-                if z is None:
-                    continue
-                if all(x <= 0 for x in z):
-                    z = tuple(-x for x in z)
-                if any(x < 0 for x in z):
-                    continue
-                lam = {sub[t]: z[t] for t in range(size)}
-                x = tuple(
-                    sum(lam.get(c, 0) * u[c][r] for c in range(len(a)))
-                    for r in range(n)
+        rows = [[int(j == t) for j in range(k)] for t in range(k)]
+        rows += [[coords[j][p] for j in range(k)] for p, i in enumerate(a) if i not in b]
+        for sub in combinations(rows, k - 1):
+            mu = kernel_vector(sub, k)
+            if mu is None:
+                continue
+            if max(mu) <= 0:
+                mu = tuple(-x for x in mu)
+            if all(sum(c * x for c, x in zip(row, mu)) >= 0 for row in rows):
+                lam = [max(sum(m * v[p] for m, v in zip(mu, coords)), 0) for p in range(n)]
+                scale = lcm(*(x.denominator for x in lam))
+                point = primitive_vector(
+                    [int(sum(x * scale * rays[i][r] for x, i in zip(lam, a))) for r in range(n)]
                 )
-                if any(x):
-                    witnesses.add(x)
-        for x in witnesses:
-            coeffs = _cone_member_coeffs(fan, tuple(shared), x)
-            if coeffs is None or any(c < 0 for c in coeffs):
+                shared = tuple(i for i in a if i in b)
                 raise FanValidationError(
-                    f"fan condition fails: cones {a} and {b} overlap at {x}, "
-                    f"which is outside their shared face {tuple(shared)}"
+                    f"fan condition fails: cones {a} and {b} overlap at {point}, "
+                    f"which is outside their shared face {shared}"
                 )
 
 

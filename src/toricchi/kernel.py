@@ -3,9 +3,8 @@
 box_sum walks every integer point m of a box and adds table[mask(m)],
 where bit k of mask(m) records that ray k's inequality fails at m. It
 works with Python ints throughout, so no coordinate, bound or table entry
-can overflow. The table may be any mapping indexable by mask: the oracle
-passes an eager tuple of all 2^r entries for small fans and a lazily
-filled dict for fans with many rays.
+can overflow. The table may be any mapping indexable by mask; the oracle
+passes a dict that fills each entry on first read.
 """
 
 from __future__ import annotations

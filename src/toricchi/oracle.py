@@ -16,8 +16,8 @@ of graded cohomology via face counting: the contribution of m is
 arrangement's vertices padded by 2, then grown shell by shell until two
 consecutive shells contribute exactly 0 (heuristic made safe by checking).
 Every box goes through the one scan kernel, kernel.box_sum, with the fan's
-contribution table: all 2^r entries up front for r ≤ 16 rays, filled per
-mask on first use beyond that. Like the other routes it rejects a fan with
+contribution table, a dict filled per mask on first use, so no fan pays
+for all 2^r masks. Like the other routes it rejects a fan with
 a non-unimodular maximal cone (NonSmoothConeError), reading the cone
 inverses the fan's engine caches.
 
@@ -156,27 +156,10 @@ class _LazyContributions(dict):
 
 
 @lru_cache(maxsize=None)
-def _contribution_table(fan: Fan):
-    """table[mask] = 1 − χ_face(subcomplex induced on the rays in mask).
-
-    Up to 16 rays, a tuple of all 2^r entries built with a subset-sum sweep;
-    beyond that, where 2^r entries cannot be afforded, a dict filled per
-    mask on first use. The eager tuple scans faster when it fits.
-    """
-    faces = _face_masks(fan)
-    r = len(fan.rays)
-    if r > 16:
-        return _LazyContributions(faces)
-    size = 1 << r
-    chi_face = [0] * size
-    for mask, sign in faces:
-        chi_face[mask] += sign
-    for b in range(r):
-        bit = 1 << b
-        for mask in range(size):
-            if mask & bit:
-                chi_face[mask] += chi_face[mask ^ bit]
-    return tuple(1 - v for v in chi_face)
+def _contribution_table(fan: Fan) -> _LazyContributions:
+    """table[mask] = 1 − χ_face(subcomplex induced on the rays in mask),
+    each entry computed the first time the scan reads it."""
+    return _LazyContributions(_face_masks(fan))
 
 
 def _arrangement_box(fan: Fan, coeffs):

@@ -86,6 +86,9 @@ def test_build_catalog_errors():
         build_catalog("hirzebruch", ())
     with pytest.raises(ToricError, match="no parameters"):
         build_catalog("p2", (1,))
+    # 2.5 must not build F_2
+    with pytest.raises(ToricError, match="expected integers"):
+        build_catalog("hirzebruch", (2.5,))
 
 
 def test_catalog_entries_have_descriptions():

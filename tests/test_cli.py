@@ -147,6 +147,14 @@ def test_unknown_catalog_name(capsys):
     assert "unknown catalog" in err
 
 
+def test_non_integer_catalog_parameter_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "check", "catalog:hirzebruch:x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: catalog parameters: expected integers")
+    assert "Traceback" not in err
+
+
 def test_missing_fan_file(capsys):
     code, _, err = run_cli(capsys, "check", "/no/such/file.fan")
     assert code == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +29,15 @@ coeff = st.integers(min_value=-6, max_value=6)
 def test_divisor_length_checked():
     with pytest.raises(DivisorError):
         TorusDivisor(P2, (1, 0))
+
+
+@pytest.mark.parametrize("bad", [2.9, Fraction(5, 2), "2"], ids=["float", "fraction", "str"])
+def test_divisor_rejects_non_integer_coefficients(bad):
+    # truncating 2.9 to 2 would give chi_hrr 6 for a divisor nobody asked for
+    with pytest.raises(DivisorError, match="expected integers"):
+        TorusDivisor(P2, (bad, 0, 0))
+    with pytest.raises(DivisorError, match="expected integers"):
+        principal_divisor(P2, (bad, 0))
 
 
 def test_divisor_arithmetic():

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from toricchi.divisor import TorusDivisor
 from toricchi.errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError
 from toricchi.fan import (
     Fan,
+    _check_fan_condition,
     enumerate_faces,
     format_fan,
     is_complete,
@@ -16,7 +19,7 @@ from toricchi.fan import (
     spans_cone,
     star_fan,
 )
-from toricchi.intlinalg import inv_rational
+from toricchi.intlinalg import det_int, inv_rational, kernel_vector, solve_rational
 from toricchi.oracle import chi_graded_cohomology, chi_recursive, count_lattice_points
 from toricchi.todd import chi_hrr, verify_induction_step, verify_ishida
 
@@ -98,6 +101,21 @@ def test_fan_rejects_duplicate_cone():
         Fan(1, ((1,), (-1,)), ((0,), (1,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "dim, rays, cones",
+    [
+        (2.0, ((1, 0), (0, 1)), ((0, 1),)),
+        (2, ((1.7, 0), (0, 1)), ((0, 1),)),
+        (2, ((1, 0), (0, 1)), ((0, 1.0),)),
+    ],
+    ids=["dim", "ray", "cone"],
+)
+def test_fan_rejects_non_integer_input(dim, rays, cones):
+    # int() would turn the ray (1.7, 0) into (1, 0) and accept the fan
+    with pytest.raises(FanValidationError, match="expected integers"):
+        Fan(dim, rays, cones)
+
+
 def test_fan_condition_violation_nested_cones():
     # cone{(1,0),(1,1)} sits inside cone{(1,0),(0,1)}: intersection is not a
     # common face, so this ray/cone collection is not a fan
@@ -113,6 +131,140 @@ def test_fan_condition_violation_crossing_cones():
             ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0), (1, 2, 0), (0, 0, -1)),
             ((0, 1, 2), (3, 4, 5)),
         )
+
+
+def _support_scan_overlaps(n, rays, cones) -> bool:
+    """The pairwise check Fan construction once ran, kept as an oracle: True
+    when some two cones meet outside their shared face.
+
+    A point of cone(A) ∩ cone(B) is U^T·λ = W^T·μ with λ, μ ≥ 0, so the
+    intersection is generated by the extreme rays of {z ≥ 0 : M·z = 0} with
+    M = [U^T | −W^T]. Each extreme ray's support carries a one-dimensional
+    kernel, so scanning supports of size ≤ n+1 and keeping the
+    sign-definite kernel vectors yields a generating set; each generator is
+    then tested for membership in the shared face.
+    """
+    for a, b in itertools.combinations(cones, 2):
+        shared = sorted(set(a) & set(b))
+        u = [rays[i] for i in a]
+        w = [rays[j] for j in b]
+        cols = len(a) + len(b)
+        m_rows = [
+            [u[c][r] for c in range(len(a))] + [-w[c][r] for c in range(len(b))]
+            for r in range(n)
+        ]
+        for size in range(1, min(cols, n + 1) + 1):
+            for sub in itertools.combinations(range(cols), size):
+                z = kernel_vector([[row[c] for c in sub] for row in m_rows], size)
+                if z is None:
+                    continue
+                if all(x <= 0 for x in z):
+                    z = tuple(-x for x in z)
+                if any(x < 0 for x in z):
+                    continue
+                lam = {sub[t]: z[t] for t in range(size)}
+                x = [sum(lam.get(c, 0) * u[c][r] for c in range(len(a))) for r in range(n)]
+                if not any(x):
+                    continue
+                if not shared:
+                    return True
+                coeffs = solve_rational([[rays[i][r] for i in shared] for r in range(n)], x)
+                if coeffs is None or any(c < 0 for c in coeffs):
+                    return True
+    return False
+
+
+def _cone_coords(rays, cone, point):
+    """Exact coordinates of point over the rays of a nondegenerate cone."""
+    n = len(point)
+    return solve_rational([[rays[i][r] for i in cone] for r in range(n)], list(point))
+
+
+def _nondegenerate(rays, cone) -> bool:
+    return det_int([list(rays[i]) for i in cone]) != 0
+
+
+def _random_cones(rng, n, rays, count):
+    """Up to count distinct nondegenerate n-subsets of the rays."""
+    pool = [c for c in itertools.combinations(range(len(rays)), n) if _nondegenerate(rays, c)]
+    return tuple(rng.sample(pool, min(count, len(pool))))
+
+
+def _fan_condition_corpus():
+    """(label, dim, rays, cones) candidates, built without Fan(...): the
+    catalog fans and five variants of each (a cone dropped, a ray negated,
+    a ray perturbed by ±1, two random cone sets on the same rays), the 2-D
+    double cover, nested pairs, and 100 random 2-D and 3-D candidates."""
+    rng = random.Random(6)
+    for name in catalog_names():
+        fan = build_catalog(name)
+        n, rays, cones = fan.dim, fan.rays, fan.max_cones
+        yield name, n, rays, cones
+        drop = rng.randrange(len(cones))
+        yield f"{name} without cone {drop}", n, rays, cones[:drop] + cones[drop + 1:]
+        i = rng.randrange(len(rays))
+        negated = rays[:i] + (tuple(-x for x in rays[i]),) + rays[i + 1:]
+        yield f"{name} with ray {i} negated", n, negated, cones
+        while True:
+            i, r, step = rng.randrange(len(rays)), rng.randrange(n), rng.choice((-1, 1))
+            ray = tuple(x + step if t == r else x for t, x in enumerate(rays[i]))
+            moved = rays[:i] + (ray,) + rays[i + 1:]
+            if any(ray) and all(_nondegenerate(moved, c) for c in cones):
+                break
+        yield f"{name} with ray {i} moved", n, moved, cones
+        for t in range(2):
+            count = rng.randint(2, len(cones) + 1)
+            yield f"{name} random cones {t}", n, rays, _random_cones(rng, n, rays, count)
+    double_cover = ((1, 0), (-4, 3), (1, -3), (1, 3), (-3, -4))
+    yield "double cover", 2, double_cover, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    # a cone strictly inside another, no ray shared, each cone first: the
+    # overlap's extreme rays are the inner cone's rays, so from the outer
+    # cone only unit rows are tight, and from the inner one only rows of C
+    for n, outer, inner in (
+        (2, ((1, 0), (0, 1)), ((2, 1), (1, 2))),
+        (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, 1, 1), (1, 2, 1), (1, 1, 2))),
+    ):
+        cones = (tuple(range(n)), tuple(range(n, 2 * n)))
+        yield f"{n}-D outer cone first", n, outer + inner, cones
+        yield f"{n}-D inner cone first", n, inner + outer, cones
+    for t in range(100):
+        n = 2 + t % 2
+        size = rng.randint(n + 1, n + 3)
+        rays = set()
+        while len(rays) < size:
+            ray = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(ray):
+                rays.add(ray)
+        rays = tuple(sorted(rays))
+        yield f"random {t}", n, rays, _random_cones(rng, n, rays, rng.randint(2, 5))
+
+
+_OVERLAP = re.compile(
+    r"cones (\(.*?\)) and (\(.*?\)) overlap at (\(.*?\)), "
+    r"which is outside their shared face (\(.*?\))"
+)
+
+
+def test_fan_condition_matches_support_scan():
+    verdicts = []
+    for label, n, rays, cones in _fan_condition_corpus():
+        try:
+            _check_fan_condition(n, rays, cones)
+        except FanValidationError as exc:
+            a, b, point, shared = map(ast.literal_eval, _OVERLAP.search(str(exc)).groups())
+            assert a in cones and b in cones and set(shared) == set(a) & set(b), label
+            in_a = _cone_coords(rays, a, point)
+            assert all(c >= 0 for c in in_a), label
+            assert all(c >= 0 for c in _cone_coords(rays, b, point)), label
+            # in cone(A), the point is in the shared face iff its
+            # coordinates off that face vanish
+            assert any(c for c, i in zip(in_a, a) if i not in shared), label
+            rejected = True
+        else:
+            rejected = False
+        assert rejected == _support_scan_overlaps(n, rays, cones), label
+        verdicts.append(rejected)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
 
 
 def test_is_smooth():

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricchi.catalog import build_catalog, catalog_names, projective_space
+from toricchi.catalog import (
+    build_catalog,
+    catalog_names,
+    hirzebruch,
+    product_fan,
+    product_p1,
+    projective_space,
+)
 from toricchi.divisor import (
     TorusDivisor,
     canonical_divisor,
@@ -12,11 +19,14 @@ from toricchi.divisor import (
     ray_divisor,
     zero_divisor,
 )
+from toricchi.fan import is_complete, is_smooth
+from toricchi.oracle import chi_graded_cohomology, chi_recursive
 from toricchi.todd import (
     adjacent_rays,
     chi_hrr,
     chi_hrr_direct,
     verify_induction_step,
+    verify_ishida,
 )
 
 P1 = projective_space(1)
@@ -142,3 +152,27 @@ def test_chi_additive_in_ray_steps():
         for rho in range(len(fan.rays)):
             delta = chi_hrr(fan, d) - chi_hrr(fan, d - ray_divisor(fan, rho))
             assert delta == verify_induction_step(fan, d, rho).lhs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: product_p1(4),
+        lambda: product_fan(hirzebruch(1), product_p1(2)),
+        lambda: product_fan(projective_space(2), projective_space(2)),
+    ],
+    ids=["p1^4", "f1xp1xp1", "p2xp2"],
+)
+def test_identities_on_fourfolds(build):
+    # the catalog stops at P^4 among 4-folds; products reach further
+    fan = build()
+    assert fan.dim == 4
+    assert is_smooth(fan) and is_complete(fan)
+    assert verify_ishida(fan)
+    rng = random.Random(4)
+    for _ in range(2):
+        d = TorusDivisor(fan, tuple(rng.randint(-2, 2) for _ in fan.rays))
+        chi = chi_hrr(fan, d)
+        assert chi_recursive(fan, d) == chi
+        assert chi_graded_cohomology(fan, d) == chi
+        assert verify_induction_step(fan, d, 0).ok
