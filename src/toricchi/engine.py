@@ -7,8 +7,10 @@ A FanEngine is built once per fan and held in one cache keyed on the fan
                 lexicographically first maximal cone containing it; its keys
                 are the face set, so "do these rays span a cone" is one
                 dictionary lookup;
-  dual_basis    per maximal cone, the columns of the inverse ray matrix (the
-                dual basis of the cone's rays), one exact inversion per cone;
+  dual_basis    per maximal cone, the integer dual basis of its rays, read
+                from the Fraction inverse the fan made at construction
+                (Fan.dual_bases); a cone whose inverse is not integral raises
+                NonSmoothConeError, so nothing here inverts a matrix;
   move_row      per (σ, ρ), the rays γ ∉ σ with ⟨m, u_γ⟩ ≠ 0 for the dual
                 basis vector m of u_ρ in σ, which rewrite D_ρ near V(τ ⊆ σ),
                 so a multiplication in the Chow ring does no linear algebra;
@@ -27,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import NonSmoothConeError
-from .intlinalg import det_int, dot, inv_unimodular
+from .intlinalg import det_int, dot
 
 
 class FanEngine:
@@ -51,16 +53,17 @@ class FanEngine:
         self.step_degrees: dict = {}  # ρ -> chow.DegreeTable against C_ρ
 
     def dual_basis(self, cone) -> tuple[tuple[int, ...], ...]:
-        """Columns of the inverse ray matrix of a maximal cone: the j-th is
-        the m with ⟨m, u_{cone[j]}⟩ = 1 and ⟨m, u_γ⟩ = 0 for the cone's
-        other rays. Raises NonSmoothConeError unless the determinant is ±1."""
+        """The fan's dual basis of a maximal cone as integer vectors: the
+        j-th is the m with ⟨m, u_{cone[j]}⟩ = 1 and ⟨m, u_γ⟩ = 0 for the
+        cone's other rays. Raises NonSmoothConeError unless it is integral;
+        only then is the determinant computed, to name it."""
         got = self._dual.get(cone)
         if got is None:
-            a = self.fan.ray_matrix(cone)
-            det = det_int(a)
-            if det not in (1, -1):
-                raise NonSmoothConeError(cone, det)
-            got = self._dual[cone] = tuple(zip(*inv_unimodular(a)))
+            columns = self.fan.dual_bases[cone]
+            if any(x.denominator != 1 for m in columns for x in m):
+                raise NonSmoothConeError(cone, det_int(self.fan.ray_matrix(cone)))
+            got = tuple(tuple(x.numerator for x in m) for m in columns)
+            self._dual[cone] = got
         return got
 
     def move_row(self, sigma, rho: int) -> tuple[tuple[int, int], ...]:

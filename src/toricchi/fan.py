@@ -6,12 +6,15 @@ structure exactly: integer input (a float or Fraction is rejected, never
 truncated), primitive distinct rays, full-dimensional simplicial maximal
 cones, every ray used, and the fan condition (any two maximal cones meet in
 a common face), decided for each pair in the coordinates of one of its
-cones. Smoothness and completeness are separate checks returning witness
-reports, so a structurally valid but non-smooth or non-complete fan can
-still be inspected; require_complete raises instead.
+cones. That check inverts each maximal cone's ray matrix once, and the fan
+keeps those exact inverses (dual_bases): smoothness, the engine's integral
+dual bases and the star fans all read them instead of inverting again.
+Smoothness and completeness are separate checks returning witness reports,
+so a structurally valid but non-smooth or non-complete fan can still be
+inspected; require_complete is the one gate that raises instead.
 
 There is no floating point anywhere: memberships and intersections are
-decided with Fraction arithmetic and integer normal forms.
+decided with Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -24,15 +27,9 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .engine import engine_for
-from .errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError, exact_ints
-from .intlinalg import (
-    det_int,
-    inv_rational,
-    kernel_vector,
-    primitive_vector,
-    smith_diagonal,
-    vector_gcd,
-)
+from .errors import FanFormatError, FanValidationError, NonSmoothConeError, NotAFaceError
+from .errors import NotCompleteError, exact_ints
+from .intlinalg import dot, inv_rational, kernel_vector, primitive_vector, vector_gcd
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,8 @@ class Fan:
     max_cones: tuple of sorted tuples of ray indices, each of length dim
     with linearly independent rays. dim 0 is allowed (the fan of a point,
     one empty cone); it arises as the star fan of a maximal cone.
+    dual_bases (read-only, not a field, so equality and hashing ignore it)
+    maps each maximal cone to the Fraction columns of its inverse ray matrix.
     """
 
     dim: int
@@ -65,18 +64,22 @@ class Fan:
 
     def __post_init__(self):
         (dim,) = exact_ints((self.dim,), FanValidationError, "dimension")
-        rays = tuple(exact_ints(r, FanValidationError, "ray coordinates") for r in self.rays)
-        cones = (exact_ints(c, FanValidationError, "cone ray indices") for c in self.max_cones)
+        rays = _int_rows(self.rays, "ray coordinates")
+        cones = _int_rows(self.max_cones, "cone ray indices")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         # canonical cone order: the same geometric fan always compares equal
         object.__setattr__(self, "max_cones", tuple(sorted(tuple(sorted(c)) for c in cones)))
-        _validate(self)
+        object.__setattr__(self, "dual_bases", MappingProxyType(_validate(self)))
         # fans key every per-fan cache; hash the nested tuples once, not per lookup
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the fields, so dual_bases is remade
+        return Fan, (self.dim, self.rays, self.max_cones)
 
     def ray_matrix(self, cone) -> list[list[int]]:
         """Rows are the ray generators of the given cone (tuple of indices)."""
@@ -86,7 +89,17 @@ class Fan:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, max_cones={len(self.max_cones)})"
 
 
-def _validate(fan: Fan) -> None:
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise FanValidationError(f"{what}: expected integers, got {rows!r}") from None
+    return tuple(exact_ints(r, FanValidationError, what) for r in rows)
+
+
+def _validate(fan: Fan) -> dict:
+    """Raise FanValidationError on any structural fault; return the dual
+    bases _check_fan_condition made."""
     n = fan.dim
     if n < 0:
         raise FanValidationError(f"dimension must be nonnegative, got {n}")
@@ -122,42 +135,42 @@ def _validate(fan: Fan) -> None:
             raise FanValidationError(f"duplicate maximal cone {cone}")
         seen_cones.add(cone)
         used.update(cone)
-        if n > 0 and det_int(fan.ray_matrix(cone)) == 0:
-            raise FanValidationError(f"maximal cone {k} {cone} is degenerate (determinant 0)")
     for i in range(len(fan.rays)):
         if i not in used:
             raise FanValidationError(f"unused ray {i} {fan.rays[i]}")
-    _check_fan_condition(n, fan.rays, fan.max_cones)
+    return _check_fan_condition(n, fan.rays, fan.max_cones)
 
 
-def _check_fan_condition(n: int, rays, cones) -> None:
+def _check_fan_condition(n: int, rays, cones) -> dict:
     """Every pairwise intersection of maximal cones must be their common face.
 
-    Each pair (A, B) is decided in A's coordinates (one Fraction inverse per
-    cone). Let S = A ∩ B, k = |B∖S|, and C the k×k matrix of the
-    A-coordinates on A∖S of the rays of B∖S. A point of cone(B) outside
-    cone(S) has B-coordinates μ ≥ 0, μ ≠ 0 on B∖S; it lies in cone(A) when
-    its A-coordinates are ≥ 0, which is Cμ ≥ 0 on A∖S and can always be
-    reached on S by adding rays of S. So the cones meet outside cone(S)
-    exactly when the pointed cone {μ ≥ 0 : Cμ ≥ 0} is not {0}, that is, when
-    it has an extreme ray: a kernel_vector of k−1 of its 2k rows (the k unit
-    rows and the rows of C), with one sign ≥ 0 on every row. For a shared
-    wall (k = 1) this is the sign test: the ray of B off the wall must have
-    a negative A-coordinate. The error's witness is Σ μ_b u_b with its
-    negative A-coordinates on S raised to 0, scaled to a primitive vector.
+    Returns each cone's dual basis, the columns of its Fraction inverse (a
+    cone without one is degenerate). Each pair (A, B) is decided in A's
+    coordinates, the pairings with A's dual basis. Let S = A ∩ B,
+    k = |B∖S|, and C the k×k matrix of the A-coordinates on A∖S of the rays
+    of B∖S. A point of cone(B) outside cone(S) has B-coordinates μ ≥ 0,
+    μ ≠ 0 on B∖S; it lies in cone(A) when its A-coordinates are ≥ 0, which
+    is Cμ ≥ 0 on A∖S and can always be reached on S by adding rays of S. So
+    the cones meet outside cone(S) exactly when the pointed cone
+    {μ ≥ 0 : Cμ ≥ 0} is not {0}, that is, when it has an extreme ray: a
+    kernel_vector of k−1 of its 2k rows (the k unit rows and the rows of
+    C), with one sign ≥ 0 on every row. For a shared wall (k = 1) this is
+    the sign test: the ray of B off the wall must have a negative
+    A-coordinate. The error's witness is Σ μ_b u_b with its negative
+    A-coordinates on S raised to 0, scaled to a primitive vector.
     """
-    if n == 0:
-        return
-    inverses = {c: inv_rational([rays[i] for i in c]) for c in cones}
+    duals = {}
+    for pos, c in enumerate(cones):
+        try:
+            duals[c] = tuple(zip(*inv_rational([rays[i] for i in c])))
+        except ValueError:
+            msg = f"maximal cone {pos} {c} is degenerate (determinant 0)"
+            raise FanValidationError(msg) from None
     for a, b in combinations(cones, 2):
-        inv = inverses[a]
         outside = [i for i in b if i not in a]
         k = len(outside)
         # A-coordinates of each ray of B∖S, indexed by position in A
-        coords = [
-            [sum(rays[i][r] * inv[r][p] for r in range(n)) for p in range(n)]
-            for i in outside
-        ]
+        coords = [[dot(rays[i], m) for m in duals[a]] for i in outside]
         rows = [[int(j == t) for j in range(k)] for t in range(k)]
         rows += [[coords[j][p] for j in range(k)] for p, i in enumerate(a) if i not in b]
         for sub in combinations(rows, k - 1):
@@ -177,6 +190,7 @@ def _check_fan_condition(n: int, rays, cones) -> None:
                     f"fan condition fails: cones {a} and {b} overlap at {point}, "
                     f"which is outside their shared face {shared}"
                 )
+    return duals
 
 
 def parse_fan(text: str) -> Fan:
@@ -266,14 +280,16 @@ def format_fan(fan: Fan) -> str:
 
 @lru_cache(maxsize=None)
 def is_smooth(fan: Fan) -> CheckReport:
-    """Every maximal cone's ray generators must have determinant ±1."""
+    """Every maximal cone's rays must be a lattice basis: its dual basis
+    from construction is integral. The witness is the first cone that is
+    not; only its determinant is computed, to word the reason."""
+    engine = engine_for(fan)
     for k, cone in enumerate(fan.max_cones):
-        if fan.dim == 0:
-            continue
-        d = det_int(fan.ray_matrix(cone))
-        if d not in (1, -1):
+        try:
+            engine.dual_basis(cone)
+        except NonSmoothConeError as exc:
             return CheckReport(
-                False, f"maximal cone {k} {cone} has determinant {d}, not ±1", cone
+                False, f"maximal cone {k} {cone} has determinant {exc.determinant}, not ±1", cone
             )
     return CheckReport(True)
 
@@ -309,11 +325,16 @@ def is_complete(fan: Fan) -> CheckReport:
 
 
 def require_complete(fan: Fan) -> None:
-    """Raise NotCompleteError with the open wall unless the fan is complete;
-    the chi and verify entry points call this first."""
+    """The one gate every chi and verify entry point calls first: raise
+    NotCompleteError with the open wall unless the fan is complete, then
+    NonSmoothConeError with the first non-unimodular cone unless it is
+    smooth."""
     report = is_complete(fan)
     if not report:
         raise NotCompleteError(report.witness, report.reason)
+    report = is_smooth(fan)
+    if not report:
+        engine_for(fan).dual_basis(report.witness)  # raises NonSmoothConeError
 
 
 def enumerate_faces(fan: Fan, k: int) -> tuple[tuple[int, ...], ...]:
@@ -353,11 +374,13 @@ class StarFan(NamedTuple):
 def star_fan(fan: Fan, tau) -> StarFan:
     """Quotient fan of the cones containing tau, projected to N/N_tau.
 
-    tau's rays are completed to a Z-basis (Smith normal form; smoothness
-    makes all elementary divisors 1) and the tau-coordinates are dropped.
-    Rays of the star fan are the images of rays γ with τ+γ a cone, ordered
-    by original ray index; maximal cones are images of the maximal cones
-    containing tau.
+    σ is the lexicographically first maximal cone containing tau. Its rays
+    are a lattice basis when σ is smooth (NonSmoothConeError otherwise), so
+    the pairings with the dual basis vectors of σ's rays outside tau are
+    coordinates on N/N_tau. Rays of the star fan are the images of rays γ
+    with τ+γ a cone, ordered by original ray index; maximal cones are
+    images of the maximal cones containing tau. An image that is not
+    primitive, or two that coincide, fail the star fan's own validation.
     """
     tau = tuple(sorted(set(tau)))
     return _star_fan_cached(fan, tau)
@@ -369,42 +392,14 @@ def _star_fan_cached(fan: Fan, tau: tuple[int, ...]) -> StarFan:
         raise NotAFaceError(f"{tau} is not a face of the fan")
     if not tau:
         return StarFan(fan, MappingProxyType({i: i for i in range(len(fan.rays))}))
-    n = fan.dim
-    k = len(tau)
-    a = fan.ray_matrix(tau)
-    d, _, v = smith_diagonal(a)
-    for i in range(k):
-        if d[i][i] != 1:
-            raise FanValidationError(
-                f"cone {tau} is not smooth (elementary divisor {d[i][i]})"
-            )
-
-    def project(x) -> tuple[int, ...]:
-        # drop the first k coordinates in the Smith basis: x ↦ (x·V)[k:]
-        return tuple(sum(x[r] * v[r][j] for r in range(n)) for j in range(k, n))
-
+    engine = engine_for(fan)
+    sigma = engine.first_cone[tau]
+    basis = [m for i, m in zip(sigma, engine.dual_basis(sigma)) if i not in tau]
     tau_set = set(tau)
-    adjacent = [
-        g
-        for g in range(len(fan.rays))
-        if g not in tau_set and spans_cone(fan, tau + (g,)) is not None
-    ]
-    images = []
-    ray_map = {}
-    for g in adjacent:
-        w = project(fan.rays[g])
-        if not any(w) or vector_gcd(w) != 1:
-            raise FanValidationError(
-                f"projected ray {w} of ray {g} is not primitive; fan not smooth along {tau}"
-            )
-        if w in images:
-            raise FanValidationError(f"rays collide in the star fan of {tau}")
-        ray_map[g] = len(images)
-        images.append(w)
-    star_cones = sorted(
-        tuple(sorted(ray_map[g] for g in cone if g not in tau_set))
-        for cone in fan.max_cones
-        if tau_set.issubset(cone)
-    )
-    star = Fan(n - k, tuple(images), tuple(star_cones))
+    cones = [c for c in fan.max_cones if tau_set.issubset(c)]
+    adjacent = sorted({g for c in cones for g in c} - tau_set)
+    ray_map = {g: j for j, g in enumerate(adjacent)}
+    images = tuple(tuple(dot(fan.rays[g], m) for m in basis) for g in adjacent)
+    star_cones = tuple(tuple(ray_map[g] for g in c if g not in tau_set) for c in cones)
+    star = Fan(fan.dim - len(tau), images, star_cones)
     return StarFan(star, MappingProxyType(ray_map))

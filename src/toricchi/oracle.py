@@ -17,9 +17,9 @@ arrangement's vertices padded by 2, then grown shell by shell until two
 consecutive shells contribute exactly 0 (heuristic made safe by checking).
 Every box goes through the one scan kernel, kernel.box_sum, with the fan's
 contribution table, a dict filled per mask on first use, so no fan pays
-for all 2^r masks. Like the other routes it rejects a fan with
-a non-unimodular maximal cone (NonSmoothConeError), reading the cone
-inverses the fan's engine caches.
+for all 2^r masks. Like the other routes it passes the one entry gate,
+fan.require_complete, so a fan that is not complete or has a
+non-unimodular maximal cone is refused before any scan.
 
 count_lattice_points is the nef-case oracle: when the Cartier data pass the
 nef inequalities, χ equals the number of lattice points of the divisor
@@ -205,10 +205,6 @@ def _scan(fan: Fan, coeffs):
     n = fan.dim
     if n == 0:
         return 1, (), (), 0
-    # the scan itself never inverts a cone; this rejects non-smooth fans
-    engine = engine_for(fan)
-    for cone in fan.max_cones:
-        engine.dual_basis(cone)
     rays = fan.rays
     bounds = [-a for a in coeffs]
     table = _contribution_table(fan)
@@ -244,6 +240,7 @@ def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
 def cohomology_scan_detail(fan: Fan, d: TorusDivisor):
     """(chi, final box lo, final box hi, shells examined) — for inspection
     and for tests of the shell-stability invariant."""
+    require_complete(fan)
     return _scan(fan, d.coeffs)
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from toricchi.cli import main
 from toricchi.catalog import build_catalog
-from toricchi.fan import format_fan
+from toricchi.errors import ToricError
+from toricchi.fan import format_fan, parse_fan
 from toricchi.report import render_verification, run_verification, verification_ok
 
 
@@ -58,13 +61,24 @@ def test_chi_rejects_bad_divisor(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("method", ["hrr", "recursive", "cohomology"])
-def test_chi_non_smooth_fan_is_bad_input(tmp_path, capsys, method):
-    # cone (0, 1) has determinant 2; every route reads its dual basis
-    path = tmp_path / "cusp.fan"
-    path.write_text("dim 2\nrays\n1 0\n1 2\n-1 -1\ncones\n0 1\n1 2\n2 0\n", encoding="utf-8")
+CUSP = ("dim 2\nrays\n1 0\n1 2\n-1 -1\ncones\n0 1\n1 2\n2 0\n", "1,0,0")
+# complete, and the recursion on this divisor never reads the bad cone
+# (0, 1): only the entry gate keeps the recursive route from answering 2
+KITE = ("dim 2\nrays\n1 -2\n1 0\n-1 1\n-1 0\ncones\n0 1\n0 3\n1 2\n2 3\n", "0,-2,2,2")
+
+
+@pytest.mark.parametrize(
+    "fan, method",
+    [(fan, method) for fan in (CUSP, KITE) for method in ("hrr", "recursive", "cohomology")],
+    ids=["hrr", "recursive", "cohomology", "kite-hrr", "kite-recursive", "kite-cohomology"],
+)
+def test_chi_non_smooth_fan_is_bad_input(tmp_path, capsys, fan, method):
+    # cone (0, 1) has determinant 2; the entry gate refuses before any route runs
+    text, divisor = fan
+    path = tmp_path / "non_smooth.fan"
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(
-        capsys, "chi", str(path), "--divisor", "1,0,0", "--method", method
+        capsys, "chi", str(path), "--divisor", divisor, "--method", method
     )
     assert code == 2
     assert out == ""
@@ -85,6 +99,57 @@ def test_chi_non_complete_fan_is_bad_input(tmp_path, capsys, method):
     assert err == (
         "error: the fan is not complete: wall (0,) lies in 1 maximal cone(s), expected 2\n"
     )
+
+
+def _mutate(rng, text):
+    """One random edit of fan-file text: drop or duplicate a line, replace
+    a token with x, negate a ray, or change a cone index."""
+    lines = text.splitlines()
+    rays = list(range(lines.index("rays") + 1, lines.index("cones")))
+    cones = list(range(lines.index("cones") + 1, len(lines)))
+    kind = rng.choice(["drop", "duplicate", "token", "negate", "index"])
+    i = rng.randrange(len(lines))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "token":
+        tokens = lines[i].split()
+        tokens[rng.randrange(len(tokens))] = "x"
+        lines[i] = " ".join(tokens)
+    elif kind == "negate":
+        i = rng.choice(rays)
+        lines[i] = " ".join(str(-int(t)) for t in lines[i].split())
+    else:
+        i = rng.choice(cones)
+        tokens = lines[i].split()
+        tokens[rng.randrange(len(tokens))] = str(rng.randrange(len(rays) + 1))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_survives_mutated_fan_files(tmp_path, capsys):
+    # check gives 0, 1 or 2 and never a traceback; chi answers exactly when
+    # check passes, and refuses with exit 2 otherwise
+    rng = random.Random(11)
+    path = tmp_path / "mutant.fan"
+    seen = set()
+    for name in ("p2", "f1", "p1xp1", "bl2_p2", "p3"):
+        base = format_fan(build_catalog(name))
+        for _ in range(24):
+            text = _mutate(rng, base)
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run_cli(capsys, "check", str(path))
+            assert code in (0, 1, 2) and "Traceback" not in err, text
+            seen.add(code)
+            try:
+                rays = len(parse_fan(text).rays)
+            except ToricError:
+                rays = len(build_catalog(name).rays)
+            divisor = ",".join(str(rng.randint(-2, 2)) for _ in range(rays))
+            chi, _, err = run_cli(capsys, "chi", str(path), "--divisor", divisor)
+            assert chi == (0 if code == 0 else 2) and "Traceback" not in err, text
+    assert seen == {0, 1, 2}  # the mutations reach every check outcome
 
 
 def test_chi_parametric_catalog_spec(capsys):

@@ -1,13 +1,28 @@
 import ast
 import itertools
+import pickle
 import random
 import re
+from copy import deepcopy
 
 import pytest
 
-from toricchi.catalog import build_catalog, catalog_names, hirzebruch, projective_space
+from toricchi.catalog import (
+    build_catalog,
+    catalog_names,
+    hirzebruch,
+    product_fan,
+    product_p1,
+    projective_space,
+)
 from toricchi.divisor import TorusDivisor
-from toricchi.errors import FanFormatError, FanValidationError, NotAFaceError, NotCompleteError
+from toricchi.errors import (
+    FanFormatError,
+    FanValidationError,
+    NonSmoothConeError,
+    NotAFaceError,
+    NotCompleteError,
+)
 from toricchi.fan import (
     Fan,
     _check_fan_condition,
@@ -19,8 +34,13 @@ from toricchi.fan import (
     spans_cone,
     star_fan,
 )
-from toricchi.intlinalg import det_int, inv_rational, kernel_vector, solve_rational
-from toricchi.oracle import chi_graded_cohomology, chi_recursive, count_lattice_points
+from toricchi.intlinalg import det_int, inv_rational, kernel_vector, smith_diagonal, solve_rational
+from toricchi.oracle import (
+    chi_graded_cohomology,
+    chi_recursive,
+    cohomology_scan_detail,
+    count_lattice_points,
+)
 from toricchi.todd import chi_hrr, verify_induction_step, verify_ishida
 
 P2_TEXT = """\
@@ -107,8 +127,10 @@ def test_fan_rejects_duplicate_cone():
         (2.0, ((1, 0), (0, 1)), ((0, 1),)),
         (2, ((1.7, 0), (0, 1)), ((0, 1),)),
         (2, ((1, 0), (0, 1)), ((0, 1.0),)),
+        (2, 5, ((0, 1),)),
+        (2, ((1, 0), (0, 1)), 7),
     ],
-    ids=["dim", "ray", "cone"],
+    ids=["dim", "ray", "cone", "rays-not-iterable", "cones-not-iterable"],
 )
 def test_fan_rejects_non_integer_input(dim, rays, cones):
     # int() would turn the ray (1.7, 0) into (1, 0) and accept the fan
@@ -339,9 +361,10 @@ def test_wall_count_matches_point_sweep():
 
 
 QUADRANT = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+# complete, but cones (0, 1) and (0, 3) have determinants 2 and −2
+KITE = Fan(2, ((1, -2), (1, 0), (-1, 1), (-1, 0)), ((0, 1), (0, 3), (1, 2), (2, 3)))
 
-
-@pytest.mark.parametrize(
+ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
         lambda f, d: chi_hrr(f, d),
@@ -350,16 +373,30 @@ QUADRANT = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
         lambda f, d: count_lattice_points(f, d),
         lambda f, d: verify_ishida(f),
         lambda f, d: verify_induction_step(f, d, 0),
+        lambda f, d: cohomology_scan_detail(f, d),
     ],
     ids=["chi_hrr", "chi_recursive", "chi_graded_cohomology", "count_lattice_points",
-         "verify_ishida", "verify_induction_step"],
+         "verify_ishida", "verify_induction_step", "cohomology_scan_detail"],
 )
+
+
+@ENTRY_POINTS
 def test_entry_points_reject_non_complete_fan(call):
     # no route has a χ to give off a complete fan; each must refuse, not answer
     with pytest.raises(NotCompleteError) as exc:
         call(QUADRANT, TorusDivisor(QUADRANT, (1, 1)))
     assert exc.value.wall == (0,)
     assert "not complete" in str(exc.value)
+
+
+@ENTRY_POINTS
+def test_entry_points_reject_non_smooth_fan(call):
+    # the recursion on this divisor never reads cone (0, 1): only the entry
+    # gate keeps it from answering 2
+    with pytest.raises(NonSmoothConeError) as exc:
+        call(KITE, TorusDivisor(KITE, (0, -2, 2, 2)))
+    assert exc.value.cone == (0, 1)
+    assert exc.value.determinant == 2
 
 
 def test_enumerate_faces_p2():
@@ -438,6 +475,56 @@ def test_star_fans_stay_smooth_and_complete():
                     assert is_complete(star.fan)
 
 
+def _smith_star_fan(fan: Fan, tau):
+    """The star-fan projection star_fan once made, kept as an oracle:
+    complete tau's rays to a lattice basis by Smith normal form and drop
+    the tau-coordinates. Returns (ray images, ray_map, sorted star cones)."""
+    if not tau:
+        return list(fan.rays), {i: i for i in range(len(fan.rays))}, list(fan.max_cones)
+    n, k = fan.dim, len(tau)
+    d, _, v = smith_diagonal(fan.ray_matrix(tau))
+    assert all(d[i][i] == 1 for i in range(k))
+    adjacent = [g for g in range(len(fan.rays)) if g not in tau and spans_cone(fan, tau + (g,))]
+    images = [tuple(sum(fan.rays[g][r] * v[r][j] for r in range(n)) for j in range(k, n))
+              for g in adjacent]
+    ray_map = {g: j for j, g in enumerate(adjacent)}
+    cones = sorted(tuple(sorted(ray_map[g] for g in c if g not in tau))
+                   for c in fan.max_cones if set(tau) <= set(c))
+    return images, ray_map, cones
+
+
+_STAR_FANS = [(name, lambda name=name: build_catalog(name)) for name in catalog_names()] + [
+    ("p1^4", lambda: product_p1(4)),
+    ("f1xp1xp1", lambda: product_fan(hirzebruch(1), product_p1(2))),
+    ("p2xp2", lambda: product_fan(projective_space(2), projective_space(2))),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _STAR_FANS], ids=[n for n, _ in _STAR_FANS])
+def test_star_fan_matches_smith_projection(build):
+    # same rays in the same order and the same cones; the two projections
+    # differ only by a change of lattice basis of N/N_tau
+    fan = build()
+    for k in range(fan.dim + 1):
+        for tau in enumerate_faces(fan, k):
+            star = star_fan(fan, tau)
+            old, ray_map, cones = _smith_star_fan(fan, tau)
+            assert dict(star.ray_map) == ray_map, tau
+            assert list(star.fan.max_cones) == cones, tau
+            if star.fan.dim == 0:
+                continue
+            cone = star.fan.max_cones[0]
+            inv = inv_rational([old[j] for j in cone])
+            new = [star.fan.rays[j] for j in cone]
+            change = [[sum(inv[i][t] * new[t][j] for t in range(len(cone)))
+                       for j in range(star.fan.dim)] for i in range(star.fan.dim)]
+            assert all(x.denominator == 1 for row in change for x in row), tau
+            assert det_int([[int(x) for x in row] for row in change]) in (1, -1), tau
+            for w, u in zip(old, star.fan.rays):
+                assert tuple(sum(w[i] * change[i][j] for i in range(len(w)))
+                             for j in range(star.fan.dim)) == u, tau
+
+
 def test_star_ray_map_matches_projection_order():
     fan = build_catalog("p1xp1xp1")
     star = star_fan(fan, (0,))
@@ -452,6 +539,13 @@ def test_fan_is_hashable_and_usable_as_cache_key():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_fan_pickles_and_deep_copies():
+    fan = build_catalog("f1")
+    for copy in (pickle.loads(pickle.dumps(fan)), deepcopy(fan)):
+        assert copy == fan and hash(copy) == hash(fan)
+        assert dict(copy.dual_bases) == dict(fan.dual_bases)
 
 
 def test_cones_with_all_rays_of_mixed_order():
