@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing
 from .engine import engine_for
-from .fan import Fan, spans_cone
+from .fan import Fan, ray_index, spans_cone
 from .intlinalg import dot
 
 
@@ -82,8 +82,7 @@ def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClas
     lexicographically first cone.
     """
     fan = c.fan
-    if not 0 <= rho < len(fan.rays):
-        raise ValueError(f"ray index {rho} out of range")
+    rho = ray_index(fan, rho)
     out: dict[tuple[int, ...], Fraction] = {}
 
     def add(t, v):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import engine_for
 from .errors import DivisorError, exact_ints
-from .fan import Fan, star_fan
+from .fan import Fan, ray_index, star_fan
 from .intlinalg import dot, solve_integer
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,7 @@ def zero_divisor(fan: Fan) -> TorusDivisor:
 
 def ray_divisor(fan: Fan, rho: int) -> TorusDivisor:
     """The prime divisor D_ρ."""
+    rho = ray_index(fan, rho)
     return TorusDivisor(fan, tuple(1 if i == rho else 0 for i in range(len(fan.rays))))
 
 
@@ -107,6 +108,7 @@ def clear_ray_coefficient(d: TorusDivisor, rho: int) -> tuple[Character, TorusDi
     Deterministic: m = a_ρ · (dual basis vector to u_ρ inside the
     lexicographically first maximal cone containing rho).
     """
+    rho = ray_index(d.fan, rho)
     a = d.coeffs[rho]
     if a == 0:
         return (0,) * d.fan.dim, d

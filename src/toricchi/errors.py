@@ -31,7 +31,8 @@ class DivisorError(ToricError):
 
 
 class RecursionBudgetExceeded(ToricError):
-    """chi_recursive exceeded its node budget (see TORIC_RECURSION_BUDGET)."""
+    """chi_recursive exceeded its node budget (see TORIC_RECURSION_BUDGET),
+    the only bound on the recursion: its depth is at most the dimension."""
 
 
 class ScanRegionError(ToricError):

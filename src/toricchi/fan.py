@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .engine import engine_for
 from .errors import FanFormatError, FanValidationError, NonSmoothConeError, NotAFaceError
-from .errors import NotCompleteError, exact_ints
+from .errors import NotCompleteError, ToricError, exact_ints
 from .intlinalg import dot, inv_rational, kernel_vector, primitive_vector, vector_gcd
 
 
@@ -343,8 +343,9 @@ def enumerate_faces(fan: Fan, k: int) -> tuple[tuple[int, ...], ...]:
     Simpliciality makes every subset of a maximal cone a face, so the
     engine's downward closure of the maximal cones is exhaustive.
     """
+    (k,) = exact_ints((k,), ToricError, "face dimension")
     if not 0 <= k <= fan.dim:
-        raise ValueError(f"face dimension {k} out of range 0..{fan.dim}")
+        raise ToricError(f"face dimension {k} out of range 0..{fan.dim}")
     return tuple(sorted(f for f in engine_for(fan).first_cone if len(f) == k))
 
 
@@ -353,11 +354,18 @@ def spans_cone(fan: Fan, ray_indices) -> Optional[tuple[int, ...]]:
 
     The empty set yields the zero cone ().
     """
-    want = tuple(sorted(set(ray_indices)))
-    for i in want:
-        if not 0 <= i < len(fan.rays):
-            raise ValueError(f"ray index {i} out of range")
+    want = tuple(sorted(ray_index(fan, i) for i in set(ray_indices)))
     return want if want in engine_for(fan).first_cone else None
+
+
+def ray_index(fan: Fan, rho) -> int:
+    """rho as an index into fan.rays: the range check of every entry point
+    that takes a ray. A ToricError unless rho is an integer in
+    0..len(fan.rays) − 1 (a negative index is not taken from the end)."""
+    (i,) = exact_ints((rho,), ToricError, "ray index")
+    if not 0 <= i < len(fan.rays):
+        raise ToricError(f"ray index {i} out of range 0..{len(fan.rays) - 1}")
+    return i
 
 
 class StarFan(NamedTuple):

@@ -12,7 +12,7 @@ answer is wanted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Matrix = list[list[int]]
 
@@ -245,37 +245,44 @@ def solve_integer(a: Matrix, b) -> tuple[int, ...] | None:
     return tuple(dot(v[i], y) for i in range(cols))
 
 
-def solve_rational(a, b) -> list[Fraction] | None:
-    """A particular rational solution of a @ x = b, or None if inconsistent.
-
-    Free variables are set to zero. Exact Fraction pivoting throughout.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+def _rref(m, cols: int) -> list[int]:
+    """Bring the Fraction rows m, in place, to reduced row echelon form on
+    their first cols columns; later columns are carried along. Returns the
+    pivot column of each nonzero row. The form is unique, so every caller's
+    answer depends only on the matrix."""
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
+        for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    return pivots
+
+
+def solve_rational(a, b) -> list[Fraction] | None:
+    """A particular rational solution of a @ x = b, or None if inconsistent.
+
+    Free variables are set to zero. Exact Fraction pivoting throughout.
+    """
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    pivots = _rref(m, cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
+    for row, c in zip(m, pivots):
+        x[c] = row[cols]
     return x
 
 
@@ -302,23 +309,14 @@ def inv_unimodular(a: Matrix) -> Matrix:
 
 
 def inv_rational(a) -> list[list[Fraction]]:
-    """Exact Fraction inverse of a nonsingular square matrix."""
+    """Exact Fraction inverse of a nonsingular square matrix: one
+    elimination of [a | I], singular unless every column has a pivot."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_rational(a, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    # a @ x = e gave us columns of the inverse; verify nonsingularity
-    inv = [list(row) for row in zip(*cols)]
-    for i in range(n):
-        for j in range(n):
-            s = sum(Fraction(a[i][k]) * inv[k][j] for k in range(n))
-            if s != (1 if i == j else 0):
-                raise ValueError("matrix is singular")
-    return inv
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(_rref(m, n)) != n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]
 
 
 def kernel_vector(rows, length: int) -> tuple[int, ...] | None:
@@ -328,31 +326,14 @@ def kernel_vector(rows, length: int) -> tuple[int, ...] | None:
     Returns None when the nullity is not exactly 1.
     """
     m = [[Fraction(x) for x in row] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(length):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
+    pivots = _rref(m, length)
     free = [c for c in range(length) if c not in pivots]
     if len(free) != 1:
         return None
     f = free[0]
     x = [Fraction(0)] * length
     x[f] = Fraction(1)
-    for c, i in pivots.items():
-        x[c] = -m[i][f]
-    denom = 1
-    for val in x:
-        denom = denom * val.denominator // gcd(denom, val.denominator)
-    ints = [int(val * denom) for val in x]
-    return primitive_vector(ints)
+    for row, c in zip(m, pivots):
+        x[c] = -row[f]
+    denom = lcm(*(val.denominator for val in x))
+    return primitive_vector([int(val * denom) for val in x])

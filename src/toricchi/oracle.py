@@ -7,7 +7,11 @@ lattice of principal divisors (Hermite reduction), which doubles as the
 memoization key and as the termination measure: stepping the first nonzero
 coefficient toward zero keeps the representative canonical and strictly
 drops its L1 norm. Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and
-the trivial class (χ = 1, the Todd-genus fact taken as input).
+the trivial class (χ = 1, the Todd-genus fact taken as input). As in the
+paper's induction on dimension, only the restriction recurses: the chain of
+steps within one fan is a loop, so the depth is at most the dimension and
+the interpreter's recursion limit is never touched. The node budget
+(TORIC_RECURSION_BUDGET) is the one bound on the work.
 
 chi_graded_cohomology sums, over lattice characters m, the alternating sum
 of graded cohomology via face counting: the contribution of m is
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -49,9 +52,6 @@ from .intlinalg import (
 from .todd import chi_hrr
 
 DEFAULT_RECURSION_BUDGET = 1_000_000
-
-# the descend/ascend chains are recursive; keep Python's limit out of the way
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
 @lru_cache(maxsize=None)
@@ -87,46 +87,45 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
         memo: dict = {}
     else:
         memo = _chi_memo
-    try:
-        return _chi(fan, d.coeffs, ray_order, memo, budget)
-    except RecursionError:
-        raise RecursionBudgetExceeded("python recursion limit hit") from None
+    return _chi(fan, d.coeffs, ray_order, memo, budget)
 
 
 def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
+    """χ of the class of coeffs. The chain D, D ∓ D_ρ, … along the picked
+    rays is a loop; only the restriction at each link recurses, onto a star
+    fan of one dimension less, so the depth is at most fan.dim and no
+    global recursion limit is raised. The chain stops at the trivial class or a memoized one, and on the way back every
+    link is memoized with its running sum."""
     if fan.dim == 0:
         return 1
     if fan.dim == 1:
         # on the line, χ = degree + 1; the coefficient sum is equivalence-invariant
         return sum(coeffs) + 1
-    rep = canonical_representative(fan, coeffs)
-    if not any(rep):
-        return 1
-    key = (fan, rep)
-    if key in memo:
-        return memo[key]
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise RecursionBudgetExceeded(
-            "recursion budget exhausted (set TORIC_RECURSION_BUDGET to raise it)"
-        )
     scan = order if order is not None else range(len(fan.rays))
-    rho = next(i for i in scan if rep[i])
-    a = rep[rho]
-    if a > 0:
-        stepped = tuple(c - 1 if i == rho else c for i, c in enumerate(rep))
-        restricted = restrict_divisor(TorusDivisor(fan, rep), rho)
-        val = _chi(fan, stepped, order, memo, budget) + _chi(
-            restricted.fan, restricted.coeffs, None, memo, budget
-        )
-    else:
-        stepped = tuple(c + 1 if i == rho else c for i, c in enumerate(rep))
-        restricted = restrict_divisor(TorusDivisor(fan, stepped), rho)
-        val = _chi(fan, stepped, order, memo, budget) - _chi(
-            restricted.fan, restricted.coeffs, None, memo, budget
-        )
-    memo[key] = val
-    return val
+    links = []
+    total = 1
+    rep = canonical_representative(fan, coeffs)
+    while any(rep):
+        key = (fan, rep)
+        if key in memo:
+            total = memo[key]
+            break
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise RecursionBudgetExceeded(
+                "recursion budget exhausted (set TORIC_RECURSION_BUDGET to raise it)"
+            )
+        rho = next(i for i in scan if rep[i])
+        # descend: χ(D) = χ(D − D_ρ) + χ(D|); ascend: χ(D) = χ(D + D_ρ) − χ((D + D_ρ)|)
+        sign = 1 if rep[rho] > 0 else -1
+        stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
+        restricted = restrict_divisor(TorusDivisor(fan, rep if sign > 0 else stepped), rho)
+        links.append((key, sign * _chi(restricted.fan, restricted.coeffs, None, memo, budget)))
+        rep = canonical_representative(fan, stepped)
+    for key, delta in reversed(links):
+        total += delta
+        memo[key] = total
+    return total
 
 
 def _face_masks(fan: Fan):

@@ -15,13 +15,15 @@ from toricchi.catalog import (
     product_p1,
     projective_space,
 )
-from toricchi.divisor import TorusDivisor
+from toricchi.chow import fundamental_class, multiply_ray_divisor
+from toricchi.divisor import TorusDivisor, clear_ray_coefficient, ray_divisor, restrict_divisor
 from toricchi.errors import (
     FanFormatError,
     FanValidationError,
     NonSmoothConeError,
     NotAFaceError,
     NotCompleteError,
+    ToricError,
 )
 from toricchi.fan import (
     Fan,
@@ -404,10 +406,33 @@ def test_enumerate_faces_p2():
     assert enumerate_faces(p2, 0) == ((),)
     assert enumerate_faces(p2, 1) == ((0,), (1,), (2,))
     assert enumerate_faces(p2, 2) == ((0, 1), (0, 2), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ToricError, match="out of range"):
         enumerate_faces(p2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ToricError, match="out of range"):
         enumerate_faces(p2, -1)
+    with pytest.raises(ToricError, match="expected integers"):
+        enumerate_faces(p2, 1.5)
+
+
+_P2 = projective_space(2)
+_D = TorusDivisor(_P2, (1, 0, 0))
+_OUT_OF_RANGE = {
+    "verify_induction_step": lambda i: verify_induction_step(_P2, _D, i),
+    "restrict_divisor": lambda i: restrict_divisor(_D, i),
+    "clear_ray_coefficient": lambda i: clear_ray_coefficient(_D, i),
+    "star_fan": lambda i: star_fan(_P2, (i,)),
+    "spans_cone": lambda i: spans_cone(_P2, (i,)),
+    "enumerate_faces": lambda i: enumerate_faces(_P2, i),
+    "multiply_ray_divisor": lambda i: multiply_ray_divisor(fundamental_class(_P2), i),
+    "ray_divisor": lambda i: ray_divisor(_P2, i),
+}
+
+
+@pytest.mark.parametrize("index", [9, -1])
+@pytest.mark.parametrize("call", sorted(_OUT_OF_RANGE))
+def test_out_of_range_index_is_a_toric_error(call, index):
+    with pytest.raises(ToricError, match="out of range"):
+        _OUT_OF_RANGE[call](index)
 
 
 def test_enumerate_faces_p1xp1():

@@ -2,9 +2,12 @@
 
 perfbench/tracer.py wraps every function listed in its TRACED table with
 getattr, and perfbench/run.py reads toricchi.kernel_backend and
-todd_class.cache_info(). The full harness test takes too long for the quick
-suite, so this reads the table from the tracer's source and checks only
-that every name still exists: deleting one would break `run.py --trace 1`
+todd_class.cache_info(). perfbench/test_perfbench.py also asserts that
+the tracer wraps some names where another toricchi module imported them
+(chow's dual_basis_vector, todd's multiply_ray_divisor). The full harness
+test takes too long for the quick suite, so this reads the table and those
+names from the harness sources and checks only that every one still
+exists: deleting one would break `run.py --trace 1` or the harness test
 without any other test noticing.
 """
 
@@ -15,7 +18,9 @@ from pathlib import Path
 import toricchi
 from toricchi.todd import todd_class
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+HARNESS_TEST = PERFBENCH / "test_perfbench.py"
 
 
 def _traced_names() -> dict:
@@ -43,3 +48,29 @@ def test_every_traced_name_exists():
 def test_run_py_diagnostics_exist():
     assert callable(toricchi.kernel_backend)
     assert callable(todd_class.cache_info)
+
+
+def _reimported_names() -> list:
+    """(module, name) of every before[("toricchi.<module>", "<name>")] the
+    harness test compares against after installing the tracer."""
+    tree = ast.parse(HARNESS_TEST.read_text(encoding="utf-8"))
+    return [
+        ast.literal_eval(node.slice)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "before"
+        and isinstance(node.slice, ast.Tuple)
+    ]
+
+
+def test_reimported_names_the_harness_test_checks_exist():
+    names = _reimported_names()
+    assert ("toricchi.chow", "dual_basis_vector") in names
+    assert ("toricchi.todd", "multiply_ray_divisor") in names
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in names
+        if not callable(getattr(importlib.import_module(mod), name, None))
+    ]
+    assert missing == []

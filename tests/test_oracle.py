@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +93,61 @@ def test_recursion_budget(monkeypatch):
         chi_recursive(P2, TorusDivisor(P2, (7, 3, 1)), ray_order=(0, 1, 2))
     monkeypatch.setenv("TORIC_RECURSION_BUDGET", "100000")
     assert chi_recursive(P2, TorusDivisor(P2, (7, 3, 1)), ray_order=(0, 1, 2)) > 0
+
+
+@pytest.mark.parametrize("a", [30000, -30000])
+def test_chi_recursive_long_chain_matches_hrr(a):
+    # the chain along D_0 has |a| links; it is a loop, so no depth limit is met
+    d = TorusDivisor(P2, (a, 0, 0))
+    assert chi_recursive(P2, d, ray_order=(0, 1, 2)) == chi_hrr(P2, d)
+
+
+def _python(code: str) -> str:
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return out.stdout.strip()
+
+
+def test_import_leaves_recursion_limit_alone():
+    code = "import sys; a = sys.getrecursionlimit(); import toricchi; print(a, sys.getrecursionlimit())"
+    before, after = _python(code).split()
+    assert before == after
+
+
+def test_chi_recursive_under_recursion_limit_120():
+    # the depth is bounded by the dimension, not by the coefficients
+    code = (
+        "import sys\n"
+        "from toricchi.catalog import projective_space\n"
+        "from toricchi.divisor import TorusDivisor\n"
+        "from toricchi.oracle import chi_recursive\n"
+        "p3 = projective_space(3)\n"
+        "sys.setrecursionlimit(120)\n"
+        "print(chi_recursive(p3, TorusDivisor(p3, (300, -7, 0, 5))))\n"
+    )
+    p3 = projective_space(3)
+    assert int(_python(code)) == chi_hrr(p3, TorusDivisor(p3, (300, -7, 0, 5)))
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs, order, least",
+    [
+        (P2, (7, 3, 1), (0, 1, 2), 11),
+        (projective_space(3), (3, -2, 1, 2), (3, 1, 0, 2), 8),
+    ],
+    ids=["p2", "p3"],
+)
+def test_least_recursion_budget_is_the_node_count(monkeypatch, fan, coeffs, order, least):
+    # one unit per memo miss on a nonzero class; pins the node count
+    d = TorusDivisor(fan, coeffs)
+    monkeypatch.setenv("TORIC_RECURSION_BUDGET", str(least - 1))
+    with pytest.raises(RecursionBudgetExceeded):
+        chi_recursive(fan, d, ray_order=order)
+    monkeypatch.setenv("TORIC_RECURSION_BUDGET", str(least))
+    assert chi_recursive(fan, d, ray_order=order) == chi_hrr(fan, d)
 
 
 def test_chi_graded_cohomology_p1():
