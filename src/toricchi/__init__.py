@@ -38,6 +38,7 @@ from .divisor import (
 )
 from .errors import (
     DivisorError,
+    DomainError,
     FanFormatError,
     FanValidationError,
     NonSmoothConeError,
@@ -85,14 +86,16 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Drop every per-fan and per-divisor cache: the fan engines, the Todd
     classes, the e^D expansions, the recursion memo, the principal-lattice
-    bases and face contribution tables, star fans, and the smooth/complete
-    verdicts. Results never depend on them; only time and memory do."""
+    bases, face contribution tables and arrangement adjugates, star fans,
+    and the smooth/complete verdicts. Results never depend on them; only
+    time and memory do."""
     engine.clear_engines()
     todd.todd_class.cache_clear()
     chow._exp_cached.cache_clear()
     oracle._chi_memo.clear()
     oracle._principal_lattice_basis.cache_clear()
     oracle._contribution_table.cache_clear()
+    oracle._arrangement_adjugates.cache_clear()
     fan._star_fan_cached.cache_clear()
     fan.is_smooth.cache_clear()
     fan.is_complete.cache_clear()
@@ -114,6 +117,6 @@ __all__ = [
     "ChiReport", "run_verification", "render_verification",
     "kernel_backend",
     "ToricError", "FanFormatError", "FanValidationError", "NotAFaceError",
-    "DivisorError", "RecursionBudgetExceeded", "ScanRegionError",
+    "DivisorError", "DomainError", "RecursionBudgetExceeded", "ScanRegionError",
     "NonSmoothConeError", "NotCompleteError", "clear_caches", "__version__",
 ]

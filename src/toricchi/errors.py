@@ -35,6 +35,11 @@ class RecursionBudgetExceeded(ToricError):
     the only bound on the recursion: its depth is at most the dimension."""
 
 
+class DomainError(ToricError, ValueError):
+    """An argument outside the domain of the function, such as a negative
+    series order. Also a ValueError, as the untyped check it replaces was."""
+
+
 class ScanRegionError(ToricError):
     """The cohomology scan region failed its shell stability check."""
 

@@ -11,7 +11,8 @@ the trivial class (χ = 1, the Todd-genus fact taken as input). As in the
 paper's induction on dimension, only the restriction recurses: the chain of
 steps within one fan is a loop, so the depth is at most the dimension and
 the interpreter's recursion limit is never touched. The node budget
-(TORIC_RECURSION_BUDGET) is the one bound on the work.
+(TORIC_RECURSION_BUDGET) is the one bound on the work. The shared memo is
+emptied when a call starts with more than _CHI_MEMO_CAP entries in it.
 
 chi_graded_cohomology sums, over lattice characters m, the alternating sum
 of graded cohomology via face counting: the contribution of m is
@@ -19,9 +20,13 @@ of graded cohomology via face counting: the contribution of m is
 ⟨m, u_ρ⟩ < −a_ρ. The scan region is the bounding box of the hyperplane
 arrangement's vertices padded by 2, then grown shell by shell until two
 consecutive shells contribute exactly 0 (heuristic made safe by checking).
-Every box goes through the one scan kernel, kernel.box_sum, with the fan's
-contribution table, a dict filled per mask on first use, so no fan pays
-for all 2^r masks. Like the other routes it passes the one entry gate,
+The vertices come from integer adjugates of the nonsingular n-subsets of
+rays, computed once per fan, and exact floor and ceil division. Every box
+goes through the one scan kernel, kernel.box_sum, which sums each line of
+the box as runs of one ray mask between the points where a ray's
+inequality flips, so the fan's contribution table is read once per run.
+The table is a dict filled per mask on first use, so no fan pays for all
+2^r masks. Like the other routes it passes the one entry gate,
 fan.require_complete, so a fan that is not complete or has a
 non-unimodular maximal cone is refused before any scan.
 
@@ -32,7 +37,6 @@ polytope, counted by bounded enumeration.
 
 from __future__ import annotations
 
-import math
 import os
 from functools import lru_cache
 from itertools import combinations, product
@@ -45,9 +49,9 @@ from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import (
     det_int,
     dot,
+    inv_rational,
     lattice_basis_hnf,
     reduce_mod_lattice,
-    solve_rational,
 )
 from .todd import chi_hrr
 
@@ -67,6 +71,9 @@ def canonical_representative(fan: Fan, coeffs) -> tuple[int, ...]:
 
 
 _chi_memo: dict = {}
+# About 60 MB of entries. A 30 s chi_wide benchmark run, the busiest user
+# of the memo, fills about 60k, so the cap only bounds long sessions.
+_CHI_MEMO_CAP = 1 << 18
 
 
 def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
@@ -86,6 +93,8 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
             raise ToricError(f"ray_order {ray_order} is not a permutation of the rays")
         memo: dict = {}
     else:
+        if len(_chi_memo) > _CHI_MEMO_CAP:
+            _chi_memo.clear()
         memo = _chi_memo
     return _chi(fan, d.coeffs, ray_order, memo, budget)
 
@@ -161,25 +170,38 @@ def _contribution_table(fan: Fan) -> _LazyContributions:
     return _LazyContributions(_face_masks(fan))
 
 
+@lru_cache(maxsize=None)
+def _arrangement_adjugates(fan: Fan):
+    """(ray subset, |det A| · A⁻¹, |det A|) for every nonsingular n-subset
+    of the rays, A the matrix of their rows: both integral. The vertex
+    where those rays' hyperplanes ⟨m, u_ρ⟩ = −a_ρ meet is the product of
+    the middle entry with (−a_ρ) over the subset, divided by the last."""
+    out = []
+    for sub in combinations(range(len(fan.rays)), fan.dim):
+        a = [list(fan.rays[i]) for i in sub]
+        d = abs(det_int(a))
+        if d:
+            adj = tuple(tuple(int(d * x) for x in row) for row in inv_rational(a))
+            out.append((sub, adj, d))
+    return tuple(out)
+
+
 def _arrangement_box(fan: Fan, coeffs):
     """Bounding box of all vertices of {⟨m, u_ρ⟩ = −a_ρ}, padded by 2."""
-    n = fan.dim
-    los = [None] * n
-    his = [None] * n
-    for sub in combinations(range(len(fan.rays)), n):
-        a = [list(fan.rays[i]) for i in sub]
-        if det_int(a) == 0:
-            continue
-        rhs = [-coeffs[i] for i in sub]
-        m = solve_rational(a, rhs)
-        for i, x in enumerate(m):
-            lo = math.floor(x)
-            hi = math.ceil(x)
-            los[i] = lo if los[i] is None or lo < los[i] else los[i]
-            his[i] = hi if his[i] is None or hi > his[i] else his[i]
-    if any(x is None for x in los):
+    vertices = _arrangement_adjugates(fan)
+    if not vertices:
         raise ToricError("no arrangement vertices; fan rays do not span")
-    return tuple(x - 2 for x in los), tuple(x + 2 for x in his)
+    floors = []
+    ceils = []
+    for sub, adj, d in vertices:
+        rhs = [-coeffs[i] for i in sub]
+        nums = [sum(x * y for x, y in zip(row, rhs)) for row in adj]
+        floors.append([v // d for v in nums])
+        ceils.append([-(-v // d) for v in nums])
+    return (
+        tuple(min(col) - 2 for col in zip(*floors)),
+        tuple(max(col) + 2 for col in zip(*ceils)),
+    )
 
 
 def _shell_slabs(lo, hi):

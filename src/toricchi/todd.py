@@ -35,7 +35,7 @@ from .chow import (
 )
 from .divisor import TorusDivisor, ray_divisor, restrict_divisor
 from .engine import engine_for
-from .errors import ToricError
+from .errors import DomainError, ToricError
 from .fan import Fan, require_complete, spans_cone
 
 
@@ -48,7 +48,7 @@ def todd_generating_series(order: int) -> list[Fraction]:
 def todd_univariate(order: int) -> tuple[Fraction, ...]:
     """t_0..t_order with Σ t_k x^k ≡ x/(1 − e^{−x}) mod x^{order+1}."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise DomainError(f"Todd series order must be nonnegative, got {order}")
     g = todd_generating_series(order)
     t = [Fraction(1)]
     for k in range(1, order + 1):

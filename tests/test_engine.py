@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import toricchi
+from toricchi import oracle
 from toricchi.catalog import build_catalog, catalog_names
 from toricchi.chow import CycleClass, fundamental_class, multiply_ray_divisor
 from toricchi.cli import main
@@ -132,8 +133,10 @@ def test_clear_caches_keeps_reports_byte_identical(capsys):
     before = capsys.readouterr().out
     fan = build_catalog("p1xp2")
     assert engine_for(fan).td_degrees is not None
+    assert oracle._arrangement_adjugates.cache_info().currsize > 0
     toricchi.clear_caches()
     assert engine_for(fan).td_degrees is None
     assert todd_class.cache_info().currsize == 0
+    assert oracle._arrangement_adjugates.cache_info().currsize == 0
     assert main(argv) == 0
     assert capsys.readouterr().out == before

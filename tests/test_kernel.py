@@ -1,3 +1,6 @@
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,3 +63,72 @@ def test_pure_matches_brute_force(n, data):
 
         table = Lazy()
     assert kernel.box_sum(lo, hi, [list(u) for u in rays], bounds, table) == want
+
+
+@st.composite
+def wide_boxes(draw):
+    """(lo, hi, rays, bounds, table): boxes up to 16 points wide per axis and
+    4096 in all, some axes zero in every ray, and rays that copy an earlier
+    ray's breakpoints (same ray scaled, or negated with a nearby bound)."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 6))
+    lo, hi = [], []
+    volume = 1
+    for _ in range(n):
+        w = draw(st.integers(0, min(15, 4096 // volume - 1)))
+        volume *= w + 1
+        lo.append(draw(st.integers(-20, 10)))
+        hi.append(lo[-1] + w)
+    zero_axes = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    rays, bounds = [], []
+    for k in range(r):
+        if k and draw(st.booleans()):
+            j = draw(st.integers(0, k - 1))
+            s = draw(st.sampled_from([1, 2, 3, -1, -2]))
+            rays.append([s * x for x in rays[j]])
+            bounds.append(s * bounds[j] + (draw(st.integers(0, 1)) if s < 0 else 0))
+        else:
+            rays.append([0 if i in zero_axes else draw(st.integers(-6, 6)) for i in range(n)])
+            bounds.append(draw(st.integers(-40, 40)))
+    table = [draw(st.integers(-9, 9)) for _ in range(1 << r)]
+    return tuple(lo), tuple(hi), rays, bounds, table
+
+
+@given(wide_boxes())
+@settings(max_examples=80, deadline=None)
+def test_wide_boxes_match_brute_force(box):
+    assert kernel.box_sum(*box) == brute_force(*box)
+
+
+class CountingTable:
+    """A table that counts its reads."""
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return self.values[mask]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        ((-500,), (499,)),  # one line of 1000 points
+        ((0, -3, 5), (2, 40, 8)),  # lines along the longest axis, axis 1
+        ((-2, -2, -2, -30), (1, 0, 2, 30)),
+    ],
+)
+def test_table_is_read_once_per_run(lo, hi):
+    n = len(lo)
+    rays = [[(3 * k + 2 * i) % 7 - 3 for i in range(n)] for k in range(5)]
+    bounds = [4, -7, 0, 11, -2]
+    table = CountingTable([(mask * 37) % 11 - 5 for mask in range(1 << 5)])
+    got = kernel.box_sum(lo, hi, rays, bounds, table)
+    assert got == brute_force(lo, hi, rays, bounds, table.values)
+    widths = [h - l + 1 for l, h in zip(lo, hi)]
+    points = math.prod(widths)
+    lines = points // max(widths)
+    assert table.reads <= lines * (len(rays) + 1)
+    assert table.reads < points

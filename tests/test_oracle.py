@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricchi import oracle
-from toricchi.catalog import build_catalog, projective_space
+from toricchi.catalog import build_catalog, catalog_names, projective_space
 from toricchi.divisor import TorusDivisor, canonical_divisor, principal_divisor, zero_divisor
 from toricchi.errors import RecursionBudgetExceeded, ToricError
 from toricchi.fan import Fan
+from toricchi.intlinalg import det_int, solve_rational
 from toricchi.oracle import (
     canonical_representative,
     cartier_data,
@@ -150,6 +152,18 @@ def test_least_recursion_budget_is_the_node_count(monkeypatch, fan, coeffs, orde
     assert chi_recursive(fan, d, ray_order=order) == chi_hrr(fan, d)
 
 
+def test_chi_memo_is_emptied_over_its_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHI_MEMO_CAP", 50)
+    oracle._chi_memo.clear()
+    big = TorusDivisor(P2, (200, 0, 0))
+    assert chi_recursive(P2, big) == chi_hrr(P2, big)
+    assert len(oracle._chi_memo) > 50  # one call may overshoot the cap
+    small = TorusDivisor(P2, (3, 1, 0))
+    assert chi_recursive(P2, small) == chi_hrr(P2, small)
+    # the second call found the memo over the cap and started it afresh
+    assert 0 < len(oracle._chi_memo) <= 50
+
+
 def test_chi_graded_cohomology_p1():
     for d in range(5):
         assert chi_graded_cohomology(P1, TorusDivisor(P1, (d, 0))) == d + 1
@@ -213,6 +227,40 @@ def test_shell_slabs_tile_the_shell():
     assert seen == want
 
 
+def _fraction_arrangement_box(fan, coeffs):
+    """The arrangement box by a Fraction solve per nonsingular n-subset of
+    the rays, as the oracle computed it before caching integer adjugates."""
+    n = fan.dim
+    los = [None] * n
+    his = [None] * n
+    for sub in combinations(range(len(fan.rays)), n):
+        a = [list(fan.rays[i]) for i in sub]
+        if det_int(a) == 0:
+            continue
+        m = solve_rational(a, [-coeffs[i] for i in sub])
+        for i, x in enumerate(m):
+            lo, hi = math.floor(x), math.ceil(x)
+            los[i] = lo if los[i] is None or lo < los[i] else los[i]
+            his[i] = hi if his[i] is None or hi > his[i] else his[i]
+    return tuple(x - 2 for x in los), tuple(x + 2 for x in his)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["many_ray"])
+def test_integer_arrangement_box_matches_fraction_solve(name):
+    fan = _many_ray_surface() if name == "many_ray" else build_catalog(name)
+    rng = random.Random(name)
+    r = len(fan.rays)
+    for _ in range(40):
+        coeffs = tuple(rng.randint(-60, 60) for _ in range(r))
+        assert oracle._arrangement_box(fan, coeffs) == _fraction_arrangement_box(fan, coeffs)
+    assert oracle._arrangement_box(fan, (0,) * r) == _fraction_arrangement_box(fan, (0,) * r)
+
+
+def test_arrangement_box_on_the_line():
+    # vertices m = −3 (ray 1) and m = −5 (ray −1), padded by 2
+    assert oracle._arrangement_box(P1, (3, -5)) == ((-7,), (-1,))
+
+
 def _eager_contributions(fan):
     """All 2^r entries of the contribution table by a subset-sum sweep over
     the face masks, the eager builder the oracle once used for r <= 16."""
@@ -236,10 +284,9 @@ def test_lazy_contributions_match_eager_table(name):
     assert [lazy[mask] for mask in range(1 << len(fan.rays))] == _eager_contributions(fan)
 
 
-def test_many_ray_fan_three_routes_agree():
-    # every primitive (a, b) with max(|a|, |b|) <= 2, plus (3, 1), in angular
-    # order; consecutive rays span unimodular cones. With 17 rays the table
-    # the cohomology scan reads fills only the masks it meets.
+def _many_ray_surface():
+    """Every primitive (a, b) with max(|a|, |b|) <= 2, plus (3, 1), in
+    angular order; consecutive rays span unimodular cones."""
     rays = [
         (a, b)
         for a in range(-2, 3)
@@ -247,7 +294,12 @@ def test_many_ray_fan_three_routes_agree():
         if (a, b) != (0, 0) and math.gcd(a, b) == 1
     ] + [(3, 1)]
     rays.sort(key=lambda u: math.atan2(u[1], u[0]))
-    fan = Fan(2, tuple(rays), tuple((i, (i + 1) % len(rays)) for i in range(len(rays))))
+    return Fan(2, tuple(rays), tuple((i, (i + 1) % len(rays)) for i in range(len(rays))))
+
+
+def test_many_ray_fan_three_routes_agree():
+    # with 17 rays the table the cohomology scan reads fills only the masks it meets
+    fan = _many_ray_surface()
     assert len(fan.rays) == 17
     assert isinstance(oracle._contribution_table(fan), oracle._LazyContributions)
     rng = random.Random(17)

@@ -4,6 +4,7 @@ import pytest
 
 from toricchi.catalog import build_catalog, catalog_names, projective_space
 from toricchi.chow import degree, fundamental_class, multiply_ray_divisor
+from toricchi.errors import DomainError, ToricError
 from toricchi.todd import (
     todd_class,
     todd_generating_series,
@@ -24,6 +25,12 @@ def test_todd_univariate_low_orders():
     assert todd_univariate(1) == (F(1), F(1, 2))
     assert todd_univariate(2) == (F(1), F(1, 2), F(1, 12))
     assert todd_univariate(4) == (F(1), F(1, 2), F(1, 12), F(0), F(-1, 720))
+
+
+def test_todd_univariate_rejects_negative_order():
+    with pytest.raises(DomainError, match="nonnegative"):
+        todd_univariate(-1)
+    assert issubclass(DomainError, ToricError)
 
 
 def test_todd_univariate_odd_coefficients_vanish():
