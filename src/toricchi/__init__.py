@@ -10,9 +10,9 @@ plus the identity checks verify_ishida (Todd genus 1), verify_induction_step
 (per-ray difference identity, three forms), Serre duality, and the nef
 lattice-point count. All arithmetic is exact (ints and Fractions).
 
-Per-fan data (faces, cone inverses, move-case rows and degree tables)
-lives in one engine per fan, see engine.py; clear_caches() drops it
-together with the per-divisor memos.
+Per-fan data (faces, cone inverses, move-case rows, the monomial walk and
+the integer degree tables) lives in one engine per fan, see engine.py;
+clear_caches() drops it together with the per-divisor memos.
 """
 
 from . import chow, engine, fan, oracle, todd
@@ -85,9 +85,10 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every per-fan and per-divisor cache: the fan engines, the Todd
-    classes, the e^D expansions, the recursion memo, the principal-lattice
-    bases, face contribution tables and arrangement adjugates, star fans,
-    and the smooth/complete verdicts. Results never depend on them; only
+    classes, the e^D expansions (the last chow._EXP_CACHE_SIZE divisors),
+    the recursion memo, the principal-lattice bases, face contribution
+    tables and arrangement adjugates, star fans, and the smooth/complete
+    verdicts. Results never depend on them; only
     time and memory do."""
     engine.clear_engines()
     todd.todd_class.cache_clear()

@@ -14,9 +14,27 @@ and each summand is transverse because γ ∉ τ. By default both cases are
 read from the fan engine (engine.py): the transverse test is a lookup in
 its face set and the move case reads its rewrite row for (σ, ρ). An
 explicit choice of σ takes the same formula through dual_basis_vector.
+Every coefficient the rules produce is an integer (1, or −⟨m, u_γ⟩ with m
+integral on a smooth fan), so a class with integer coefficients stays
+integral under multiplication.
 
-DegreeTable memoizes deg(base · monomial) against one fixed class, so the
-degree of base times any divisor polynomial is a weighted sum of lookups.
+The HRR sums read degrees in integer form. χ only sees the class of D, so
+a MonomialWalk over a maximal cone σ first replaces D by the equivalent
+D′ = D − div(χ^m) that vanishes on σ's rays (m from σ's dual basis, which
+the fan computed once), and lists the monomials D^α of degree ≤ n in the
+r − n rays off σ, depth first, each one its parent times one ray divisor.
+Its weights(D) are the integers n!/α! · a′^α, built along the same walk,
+so that e^D ≡ Σ_α weight_α / n! · D^α. A DegreeTable holds
+deg(base · D^α) for every monomial of one walk as integers over one scale,
+the lcm L of the base class's denominators: it fills them by the same walk,
+keeping only the ≤ n + 1 prefix classes on the path to the current
+monomial, each one multiplication from its parent. Then
+deg(e^D · base) = Σ_α weight_α · table_α / (n! · L), an integer sum with
+one division at the end.
+
+exp_divisor is the same expansion as rational terms over D's own support,
+for the uncached cross-checks (chi_hrr_direct, step_intermediate_direct);
+its memo keeps the last _EXP_CACHE_SIZE divisors.
 """
 
 from __future__ import annotations
@@ -24,6 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing
@@ -73,6 +93,28 @@ def fundamental_class(fan: Fan) -> CycleClass:
     return CycleClass(fan, {(): Fraction(1)})
 
 
+def _times_ray(engine, parts: dict, rho: int) -> dict:
+    """D_ρ · Σ c_τ [V(τ)] as a face -> coefficient dict, through the
+    engine's face set and move rows; coefficients of any exact number type,
+    zeros kept. A face τ that no maximal cone contains raises DivisorError."""
+    faces = engine.first_cone
+    out: dict = {}
+    for tau, coeff in parts.items():
+        if rho not in tau:
+            target = tuple(sorted(tau + (rho,)))
+            if target in faces:
+                out[target] = out.get(target, 0) + coeff
+        else:
+            sigma = faces.get(tau)
+            if sigma is None:
+                sigma = first_cone_containing(engine.fan, tau)
+            for g, p in engine.move_row(sigma, rho):
+                target = tuple(sorted(tau + (g,)))
+                if target in faces:
+                    out[target] = out.get(target, 0) - p * coeff
+    return out
+
+
 def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClass:
     """D_ρ · c, extended linearly over the [V(τ)] terms of c.
 
@@ -83,6 +125,9 @@ def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClas
     """
     fan = c.fan
     rho = ray_index(fan, rho)
+    if choose_cone is None:
+        return CycleClass(fan, _times_ray(engine_for(fan), c.parts, rho))
+
     out: dict[tuple[int, ...], Fraction] = {}
 
     def add(t, v):
@@ -91,24 +136,6 @@ def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClas
             out[t] = s
         else:
             out.pop(t, None)
-
-    if choose_cone is None:
-        engine = engine_for(fan)
-        faces = engine.first_cone
-        for tau, coeff in c.parts.items():
-            if rho not in tau:
-                target = tuple(sorted(tau + (rho,)))
-                if target in faces:
-                    add(target, coeff)
-            else:
-                sigma = faces.get(tau)
-                if sigma is None:
-                    sigma = first_cone_containing(fan, tau)
-                for g, p in engine.move_row(sigma, rho):
-                    target = tuple(sorted(tau + (g,)))
-                    if target in faces:
-                        add(target, -p * coeff)
-        return CycleClass(fan, out)
 
     for tau, coeff in c.parts.items():
         if rho not in tau:
@@ -164,32 +191,98 @@ def degree(c: CycleClass) -> Fraction:
     return sum((v for t, v in c.parts.items() if len(t) == n), Fraction(0))
 
 
-class DegreeTable:
-    """deg(base · D_{ρ1} ⋯ D_{ρk}) per ray monomial (ρ1, …, ρk), memoized.
+class MonomialWalk:
+    """The monomials of degree ≤ n in the rays off one maximal cone σ, in
+    depth-first order, and the integer weights of e^D on them.
 
-    Factors are applied in the order the monomial lists them, as
-    apply_divisor_polynomial does; only the degrees are kept.
+    Monomial k is rays[k], a sorted ray tuple; monomial 0 is the empty one.
+    Each later monomial is its parent, rays[k][:-1], times the ray divisor
+    of its last ray; in depth-first order the parent is the latest
+    monomial one level up.
+
+    shifts[j] pairs the off-σ ray off[j] with σ's dual basis, so D′ = D −
+    div(χ^m) has coefficient a_{off[j]} − Σ_i a_{σ[i]} · shifts[j][i] there
+    and 0 on σ.
     """
 
-    __slots__ = ("base", "_degrees")
+    __slots__ = ("fan", "sigma", "off", "shifts", "rays", "_steps")
 
-    def __init__(self, base: CycleClass):
-        self.base = base
-        self._degrees: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, fan: Fan, sigma):
+        n = fan.dim
+        self.fan = fan
+        self.sigma = sigma = tuple(sigma)
+        dual = engine_for(fan).dual_basis(sigma)
+        self.off = off = tuple(g for g in range(len(fan.rays)) if g not in sigma)
+        self.shifts = tuple(tuple(dot(m, fan.rays[g]) for m in dual) for g in off)
+        rays, parent, slot, run = [()], [-1], [-1], [0]
 
-    def __getitem__(self, mono: tuple[int, ...]) -> Fraction:
-        got = self._degrees.get(mono)
-        if got is None:
-            cls = self.base
-            for rho in mono:
-                cls = multiply_ray_divisor(cls, rho)
-                if not cls.parts:
-                    break
-            got = self._degrees[mono] = degree(cls)
-        return got
+        def visit(k, lo):
+            # children of monomial k: append a slot ≥ its last one (sorted)
+            if len(rays[k]) == n:
+                return
+            for j in range(lo, len(off)):
+                rays.append(rays[k] + (off[j],))
+                parent.append(k)
+                run.append(run[k] + 1 if slot[k] == j else 1)
+                slot.append(j)
+                visit(len(rays) - 1, j)
+
+        visit(0, 0)
+        self.rays = tuple(rays)
+        # per monomial k ≥ 1: (parent index, position j in off of the last
+        # ray, how many times that ray ends the monomial)
+        self._steps = tuple(zip(parent, slot, run))[1:]
+
+    def weights(self, coeffs) -> list[int]:
+        """n!/α! · a′^α per monomial α, a′ the coefficients of D′ off σ.
+
+        Each weight is its parent's times a′ at the new ray over that ray's
+        run: n!/(α + e_j)! · a′^(α+e_j) is an integer, so the floor division
+        is exact.
+        """
+        s = [coeffs[i] for i in self.sigma]
+        a = [coeffs[g] - sum(map(mul, s, row)) for g, row in zip(self.off, self.shifts)]
+        w = [factorial(self.fan.dim)]
+        for p, j, c in self._steps:
+            w.append(w[p] * a[j] // c)
+        return w
 
 
-@lru_cache(maxsize=None)
+class DegreeTable:
+    """deg(base · D^α) for every monomial α of one walk, as integers over
+    one scale: degrees[k] = scale · deg(base · D^walk.rays[k]).
+
+    scale is the lcm of base's denominators; the ray multiplications have
+    integer coefficients, so every scaled degree is an integer. The fill
+    keeps only the prefix classes on the path to the current monomial.
+    """
+
+    __slots__ = ("walk", "scale", "degrees")
+
+    def __init__(self, base: CycleClass, walk: MonomialWalk):
+        n = walk.fan.dim
+        engine = engine_for(walk.fan)
+        self.walk = walk
+        self.scale = scale = lcm(*(c.denominator for c in base.parts.values()))
+        path = [{t: c.numerator * (scale // c.denominator) for t, c in base.parts.items()}]
+        degrees = [sum(v for t, v in path[0].items() if len(t) == n)]
+        for mono in walk.rays[1:]:
+            d = len(mono)
+            del path[d:]
+            path.append(_times_ray(engine, path[d - 1], mono[-1]))
+            degrees.append(sum(v for t, v in path[d].items() if len(t) == n))
+        self.degrees = tuple(degrees)
+
+    def pair(self, weights) -> int:
+        """Σ weight_α · degrees_α: n! · scale · deg(e^D · base) for the
+        weights of D on this table's walk."""
+        return sum(map(mul, weights, self.degrees))
+
+
+_EXP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_EXP_CACHE_SIZE)
 def _exp_cached(fan: Fan, coeffs: tuple[int, ...], order: int) -> tuple[Term, ...]:
     # e^D truncated: the sorted monomial Π D_i^{α_i} has coefficient
     # Π a_i^{α_i} / α_i!, and α_i! is the product of the run counts of i

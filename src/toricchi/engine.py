@@ -15,13 +15,18 @@ A FanEngine is built once per fan and held in one cache keyed on the fan
                 basis vector m of u_ρ in σ, which rewrite D_ρ near V(τ ⊆ σ),
                 so a multiplication in the Chow ring does no linear algebra;
 
-plus slots for the degree tables the todd module fills in: the monomial
-degrees against the Todd class, and against each induction-step class C_ρ.
-Every entry is filled on first use.
+plus slots the todd module fills in: the MonomialWalk (chow.py) over
+σ₀ = fan.max_cones[0], that is the monomials of degree ≤ n in the r − n
+rays off σ₀, in depth-first order, with the rows that shift a divisor to
+the equivalent one vanishing on σ₀; and integer degree tables on that
+walk, one against the Todd class and one against each induction-step class
+C_ρ, each stored as integers over one scale (the lcm of its class's
+denominators). Every entry is filled on first use.
 
-The engine holds no references to divisors; per-divisor memos live with the
-routes that use them. toricchi.clear_caches() empties this cache with the
-others.
+The engine holds no references to divisors: the HRR sums compute a
+divisor's weights on the walk afresh each call, and the only per-divisor
+memo of the route, chow's e^D expansion for the direct cross-checks, is
+bounded. toricchi.clear_caches() empties this cache with the others.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .intlinalg import det_int, dot
 class FanEngine:
     __slots__ = (
         "fan", "first_cone", "_dual", "_moves",
-        "td_degrees", "step_degrees",
+        "walk", "td_degrees", "step_degrees",
     )
 
     def __init__(self, fan):
@@ -49,8 +54,9 @@ class FanEngine:
         self.first_cone = first
         self._dual: dict = {}
         self._moves: dict = {}
-        self.td_degrees = None  # chow.DegreeTable against Td(X)
-        self.step_degrees: dict = {}  # ρ -> chow.DegreeTable against C_ρ
+        self.walk = None  # chow.MonomialWalk over max_cones[0]
+        self.td_degrees = None  # chow.DegreeTable against Td(X) on walk
+        self.step_degrees: dict = {}  # ρ -> chow.DegreeTable against C_ρ on walk
 
     def dual_basis(self, cone) -> tuple[tuple[int, ...], ...]:
         """The fan's dual basis of a maximal cone as integer vectors: the

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .divisor import TorusDivisor, canonical_divisor
+from .errors import DomainError
 from .fan import Fan
 from .oracle import chi_graded_cohomology, chi_recursive, count_lattice_points
 from .todd import chi_hrr, verify_induction_step, verify_ishida
@@ -98,7 +99,7 @@ def run_verification(
     """One ChiReport per trial divisor; trial 0 is the zero divisor."""
     lo, hi = coeff_range
     if lo > hi:
-        raise ValueError(f"empty coefficient range {lo}..{hi}")
+        raise DomainError(f"empty coefficient range {lo}..{hi}")
     rng = random.Random(seed)
     reports = []
     for t in range(trials):

@@ -8,13 +8,22 @@ self-check. The Todd class of the fan is the product over rays of the
 truncated factor Σ_k t_k D_ρ^k applied to the fundamental class, factors in
 input ray order, grading truncated at codimension n as it goes.
 
-χ(O(D)) by Riemann-Roch is degree(e^D · Td). Degrees of ray monomials
-against the Todd class are cached per fan: by linearity of the degree map,
-χ = Σ over monomials of (e^D coefficient) × (cached monomial degree), which
-makes batch verification over many divisors on one fan cheap. The induction
-step's intermediate form works the same way against the step class
-C_ρ = D_ρ · Π over rays γ adjacent to ρ of the Todd factor of γ. Both kinds
-of degree table are held by the fan's engine.
+χ(O(D)) by Riemann-Roch is degree(e^D · Td). The fan's engine holds one
+MonomialWalk (chow.py), over σ₀ = fan.max_cones[0], and integer degree
+tables on it: deg(D^α · Td) for every monomial α of degree ≤ n in the
+r − n rays off σ₀, scaled by the lcm L of Td's denominators. Since χ only
+sees the class of D, D is first replaced by the equivalent D′ that vanishes
+on σ₀, and
+
+    χ(D) = Σ_α (n!/α! · a′^α) · (L · deg(D^α · Td)) / (n! · L),
+
+an integer sum with one exact division at the end; a nonzero remainder
+raises ToricError. The induction step's rhs is the same sum for D minus the
+sum for D − D_ρ against the Td table, and its intermediate the sum against
+the table of the step class C_ρ = D_ρ · Π over rays γ adjacent to ρ of the
+Todd factor of γ; lhs is chi_hrr on the star fan. chi_hrr_direct and
+step_intermediate_direct multiply e^D out on the class instead, with no
+table, as cross-checks.
 """
 
 from __future__ import annotations
@@ -27,16 +36,17 @@ from math import factorial
 from .chow import (
     CycleClass,
     DegreeTable,
+    MonomialWalk,
     apply_divisor_polynomial,
     degree,
     exp_divisor,
     fundamental_class,
     multiply_ray_divisor,
 )
-from .divisor import TorusDivisor, ray_divisor, restrict_divisor
+from .divisor import TorusDivisor, restrict_divisor
 from .engine import engine_for
 from .errors import DomainError, ToricError
-from .fan import Fan, require_complete, spans_cone
+from .fan import Fan, ray_index, require_complete, spans_cone
 
 
 def todd_generating_series(order: int) -> list[Fraction]:
@@ -79,10 +89,17 @@ def todd_class(fan: Fan) -> CycleClass:
     return cls
 
 
+def _walk(fan: Fan) -> MonomialWalk:
+    engine = engine_for(fan)
+    if engine.walk is None:
+        engine.walk = MonomialWalk(fan, fan.max_cones[0])
+    return engine.walk
+
+
 def _td_degrees(fan: Fan) -> DegreeTable:
     engine = engine_for(fan)
     if engine.td_degrees is None:
-        engine.td_degrees = DegreeTable(todd_class(fan))
+        engine.td_degrees = DegreeTable(todd_class(fan), _walk(fan))
     return engine.td_degrees
 
 
@@ -90,14 +107,8 @@ def _step_degrees(fan: Fan, rho: int) -> DegreeTable:
     tables = engine_for(fan).step_degrees
     got = tables.get(rho)
     if got is None:
-        got = tables[rho] = DegreeTable(step_class(fan, rho))
+        got = tables[rho] = DegreeTable(step_class(fan, rho), _walk(fan))
     return got
-
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ToricError(f"{what} is not an integer: {value}")
-    return int(value)
 
 
 def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
@@ -106,10 +117,12 @@ def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
     if d.fan != fan:
         d = TorusDivisor(fan, d.coeffs)
     td = _td_degrees(fan)
-    total = Fraction(0)
-    for term in exp_divisor(d, fan.dim):
-        total += term.coeff * td[term.rays]
-    return _as_int(total, "chi_hrr value")
+    total = td.pair(td.walk.weights(d.coeffs))
+    den = factorial(fan.dim) * td.scale
+    chi, rem = divmod(total, den)
+    if rem:
+        raise ToricError(f"chi_hrr value is not an integer: {Fraction(total, den)}")
+    return chi
 
 
 def chi_hrr_direct(fan: Fan, d: TorusDivisor) -> Fraction:
@@ -163,24 +176,23 @@ def step_class(fan: Fan, rho: int, choose_cone=None) -> CycleClass:
 def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
     """Check χ(O_{X'}(D|)) = degree((e^D − e^{D−D_ρ})·Td(X)) three ways.
 
-    lhs comes from the star fan, rhs from the Td degree table upstairs and
-    intermediate from the C_ρ degree table upstairs.
+    lhs comes from the star fan, rhs from the Td degree table upstairs (the
+    sums for D and for D − D_ρ) and intermediate from the C_ρ degree table
+    upstairs; the two tables share the walk, hence D's weights.
     """
     require_complete(fan)
     restricted = restrict_divisor(d, rho)
     lhs = chi_hrr(restricted.fan, restricted)
 
-    upper = exp_divisor(d, fan.dim)
-    lower = exp_divisor(d - ray_divisor(fan, rho), fan.dim)
-    diff: dict[tuple[int, ...], Fraction] = {t.rays: t.coeff for t in upper}
-    for t in lower:
-        diff[t.rays] = diff.get(t.rays, Fraction(0)) - t.coeff
+    i = ray_index(fan, rho)
     td = _td_degrees(fan)
-    rhs = sum((c * td[mono] for mono, c in diff.items() if c), Fraction(0))
-
-    step = _step_degrees(fan, rho)
-    intermediate = sum((t.coeff * step[t.rays] for t in upper), Fraction(0))
-
+    step = _step_degrees(fan, i)
+    weights = td.walk.weights(d.coeffs)
+    lower = list(d.coeffs)
+    lower[i] -= 1
+    top = factorial(fan.dim)
+    rhs = Fraction(td.pair(weights) - td.pair(td.walk.weights(lower)), top * td.scale)
+    intermediate = Fraction(step.pair(weights), top * step.scale)
     return StepReport(rho=rho, lhs=lhs, rhs=rhs, intermediate=intermediate)
 
 

@@ -291,6 +291,8 @@ def test_run_verification_rejects_empty_range():
     fan = build_catalog("p2")
     with pytest.raises(ValueError):
         run_verification(fan, trials=1, coeff_range=(3, -3))
+    with pytest.raises(ToricError, match="empty coefficient range 3..-3"):
+        run_verification(fan, trials=1, coeff_range=(3, -3))
 
 
 def test_nef_check_lines_present():
