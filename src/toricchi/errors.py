@@ -41,7 +41,8 @@ class DomainError(ToricError, ValueError):
 
 
 class ScanRegionError(ToricError):
-    """The cohomology scan region failed its shell stability check."""
+    """A box scan (cohomology route or nef count) has more lines than the
+    oracle's limit, so it is refused before any summing."""
 
 
 class NonSmoothConeError(ToricError):

@@ -8,8 +8,11 @@ once, at a breakpoint found by exact integer floor or ceil division. A line
 is therefore at most r+1 runs of one mask each, and the scan reads the
 table once per run, not once per point. It works with Python ints
 throughout, so no coordinate, bound or table entry can overflow. The table
-may be any mapping indexable by mask; the oracle passes a dict that fills
-each entry on first read.
+may be any mapping indexable by mask. It is the one scan of the package and
+serves two callers in the oracle: the cohomology route passes a dict that
+fills each contribution on first read, and the nef lattice-point count
+passes one that is 1 at mask 0, where ⟨m, u_k⟩ ≥ bound_k for every k so m
+lies in the divisor polytope, and 0 elsewhere.
 """
 
 from __future__ import annotations

@@ -18,12 +18,22 @@ chi_graded_cohomology sums, over lattice characters m, the alternating sum
 of graded cohomology via face counting: the contribution of m is
 1 − χ_face(Δ) where Δ is the fan's face complex induced on the rays with
 ⟨m, u_ρ⟩ < −a_ρ. The scan region is the bounding box of the hyperplane
-arrangement's vertices padded by 2, then grown shell by shell until two
-consecutive shells contribute exactly 0 (heuristic made safe by checking).
+arrangement's vertices, from the floor of their minimum to the ceiling of
+their maximum on each axis, and it provably holds every nonzero term:
+- The contribution is constant on each region R_S = {m : ⟨m, u_ρ⟩ < −a_ρ
+  exactly for ρ ∈ S}, and it is χ_m = Σ (−1)^p dim H^p(X, O(D))_m
+  (Cox–Little–Schenck, Toric Varieties, §9.1). X is complete, so each H^p
+  is finite-dimensional and only finitely many m have χ_m ≠ 0.
+- An unbounded R_S that holds a lattice point m also holds m + t·v for an
+  integral v in its recession cone and every t ≥ 0, all with the same
+  χ_m; so that value is 0.
+- A bounded R_S has as closure a polytope whose vertices are arrangement
+  vertices, so it lies in their bounding box.
 The vertices come from integer adjugates of the nonsingular n-subsets of
-rays, computed once per fan, and exact floor and ceil division. Every box
-goes through the one scan kernel, kernel.box_sum, which sums each line of
-the box as runs of one ray mask between the points where a ray's
+rays, computed once per fan, and exact floor and ceil division. A box of
+more than _MAX_SCAN_LINES lines raises ScanRegionError before any summing.
+The box goes through the one scan kernel, kernel.box_sum, which sums each
+line of the box as runs of one ray mask between the points where a ray's
 inequality flips, so the fan's contribution table is read once per run.
 The table is a dict filled per mask on first use, so no fan pays for all
 2^r masks. Like the other routes it passes the one entry gate,
@@ -32,19 +42,22 @@ non-unimodular maximal cone is refused before any scan.
 
 count_lattice_points is the nef-case oracle: when the Cartier data pass the
 nef inequalities, χ equals the number of lattice points of the divisor
-polytope, counted by bounded enumeration.
+polytope, summed by the same kernel over the Cartier data's bounding box
+with a table that is 1 at mask 0 (every inequality holds) and 0 elsewhere.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from . import kernel
 from .divisor import TorusDivisor, canonical_divisor, restrict_divisor
 from .engine import engine_for
-from .errors import RecursionBudgetExceeded, ScanRegionError, ToricError
+from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
 from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import (
     det_int,
@@ -86,7 +99,11 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
     uses a fresh memo table so different orders genuinely recompute.
     """
     require_complete(fan)
-    budget = [int(os.environ.get("TORIC_RECURSION_BUDGET", DEFAULT_RECURSION_BUDGET))]
+    text = os.environ.get("TORIC_RECURSION_BUDGET", str(DEFAULT_RECURSION_BUDGET))
+    try:
+        budget = [int(text)]
+    except ValueError:
+        raise DomainError(f"TORIC_RECURSION_BUDGET must be an integer, got {text!r}") from None
     if ray_order is not None:
         ray_order = tuple(ray_order)
         if sorted(ray_order) != list(range(len(fan.rays))):
@@ -187,7 +204,8 @@ def _arrangement_adjugates(fan: Fan):
 
 
 def _arrangement_box(fan: Fan, coeffs):
-    """Bounding box of all vertices of {⟨m, u_ρ⟩ = −a_ρ}, padded by 2."""
+    """Bounding box of all vertices of {⟨m, u_ρ⟩ = −a_ρ}: floor of the
+    minimum to ceiling of the maximum on each axis."""
     vertices = _arrangement_adjugates(fan)
     if not vertices:
         raise ToricError("no arrangement vertices; fan rays do not span")
@@ -199,68 +217,46 @@ def _arrangement_box(fan: Fan, coeffs):
         floors.append([v // d for v in nums])
         ceils.append([-(-v // d) for v in nums])
     return (
-        tuple(min(col) - 2 for col in zip(*floors)),
-        tuple(max(col) + 2 for col in zip(*ceils)),
+        tuple(min(col) for col in zip(*floors)),
+        tuple(max(col) for col in zip(*ceils)),
     )
 
 
-def _shell_slabs(lo, hi):
-    """The shell around [lo, hi] as disjoint boxes: for each axis j, the two
-    slabs where coordinate j sits just outside, axes < j stay inside, and
-    axes > j range over the grown box."""
-    n = len(lo)
-    for j in range(n):
-        head_lo = [lo[i] if i < j else lo[i] - 1 for i in range(n)]
-        head_hi = [hi[i] if i < j else hi[i] + 1 for i in range(n)]
-        for side in (lo[j] - 1, hi[j] + 1):
-            s_lo = list(head_lo)
-            s_hi = list(head_hi)
-            s_lo[j] = s_hi[j] = side
-            yield tuple(s_lo), tuple(s_hi)
+# The most lines one box may have: the product of its extents off the
+# longest axis, along which kernel.box_sum sweeps. The largest box the
+# tests and the P^7 rungs reach, P^7 with D = (−5, −4, 0, …, 0), has 10^6.
+_MAX_SCAN_LINES = 1 << 24
 
 
-_MAX_SHELLS = 32
+def _box_sum(lo, hi, rays, bounds, table) -> int:
+    """kernel.box_sum over [lo, hi], after refusing a box of more than
+    _MAX_SCAN_LINES lines with ScanRegionError."""
+    lines = math.prod(sorted(h - l + 1 for l, h in zip(lo, hi))[:-1])
+    if lines > _MAX_SCAN_LINES:
+        raise ScanRegionError(
+            f"scan box {list(lo)}..{list(hi)} has {lines} lines, "
+            f"more than the limit of {_MAX_SCAN_LINES}"
+        )
+    return kernel.box_sum(lo, hi, rays, bounds, table)
 
 
 def _scan(fan: Fan, coeffs):
-    n = fan.dim
-    if n == 0:
-        return 1, (), (), 0
-    rays = fan.rays
-    bounds = [-a for a in coeffs]
-    table = _contribution_table(fan)
+    if fan.dim == 0:
+        return 1, (), ()
     lo, hi = _arrangement_box(fan, coeffs)
-    total = kernel.box_sum(lo, hi, rays, bounds, table)
-    zeros = 0
-    for shells in range(_MAX_SHELLS):
-        s = sum(
-            kernel.box_sum(slo, shi, rays, bounds, table)
-            for slo, shi in _shell_slabs(lo, hi)
-        )
-        total += s
-        if s == 0:
-            zeros += 1
-            if zeros == 2:
-                return total, lo, hi, shells + 1
-        else:
-            zeros = 0
-        lo = tuple(x - 1 for x in lo)
-        hi = tuple(x + 1 for x in hi)
-    raise ScanRegionError(
-        f"cohomology scan did not stabilize within {_MAX_SHELLS} shells"
-    )
+    bounds = [-a for a in coeffs]
+    return _box_sum(lo, hi, fan.rays, bounds, _contribution_table(fan)), lo, hi
 
 
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
-    """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the verified scan region."""
+    """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the arrangement's vertex box."""
     require_complete(fan)
-    total, _, _, _ = _scan(fan, d.coeffs)
-    return total
+    return _scan(fan, d.coeffs)[0]
 
 
 def cohomology_scan_detail(fan: Fan, d: TorusDivisor):
-    """(chi, final box lo, final box hi, shells examined) — for inspection
-    and for tests of the shell-stability invariant."""
+    """(chi, lo, hi): χ(O(D)) and the box [lo, hi] it summed, the bounding
+    box of the arrangement vertices (empty tuples on a 0-dimensional fan)."""
     require_complete(fan)
     return _scan(fan, d.coeffs)
 
@@ -296,7 +292,7 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     """|P_D ∩ M| for nef D (P_D = {m : ⟨m, u_ρ⟩ ≥ −a_ρ}); None if not nef.
 
     For nef divisors on complete fans the polytope is the convex hull of
-    the Cartier data, so their bounding box bounds the enumeration.
+    the Cartier data, so their bounding box holds every point counted.
     """
     require_complete(fan)
     if fan.dim == 0:
@@ -306,11 +302,8 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     data = cartier_data(fan, d)
     lo = [min(m[i] for m in data) for i in range(fan.dim)]
     hi = [max(m[i] for m in data) for i in range(fan.dim)]
-    count = 0
-    for m in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if all(dot(m, u) >= -a for u, a in zip(fan.rays, d.coeffs)):
-            count += 1
-    return count
+    inside = defaultdict(int, {0: 1})
+    return _box_sum(lo, hi, fan.rays, [-a for a in d.coeffs], inside)
 
 
 CHI_METHODS = {

@@ -128,6 +128,27 @@ def _mutate(rng, text):
     return "\n".join(lines) + "\n"
 
 
+def test_chi_scan_over_the_line_limit_is_bad_input(capsys):
+    # about 10^10 lines: refused before the scan starts, not run for minutes
+    code, out, err = run_cli(
+        capsys, "chi", "catalog:p3", "--divisor", "100000,0,0,0", "--method", "cohomology"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scan box ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_recursion_budget_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("TORIC_RECURSION_BUDGET", "abc")
+    code, out, err = run_cli(
+        capsys, "chi", "catalog:p2", "--divisor", "1,0,0", "--method", "recursive"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: TORIC_RECURSION_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_cli_survives_mutated_fan_files(tmp_path, capsys):
     # check gives 0, 1 or 2 and never a traceback; chi answers exactly when
     # check passes, and refuses with exit 2 otherwise

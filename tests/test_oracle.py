@@ -3,17 +3,23 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricchi import oracle
-from toricchi.catalog import build_catalog, catalog_names, projective_space
+from toricchi import kernel, oracle
+from toricchi.catalog import (
+    build_catalog,
+    catalog_names,
+    product_fan,
+    product_p1,
+    projective_space,
+)
 from toricchi.divisor import TorusDivisor, canonical_divisor, principal_divisor, zero_divisor
-from toricchi.errors import RecursionBudgetExceeded, ToricError
+from toricchi.errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
 from toricchi.fan import Fan
 from toricchi.intlinalg import det_int, solve_rational
 from toricchi.oracle import (
@@ -79,6 +85,12 @@ def test_chi_recursive_ray_order_is_irrelevant():
     for _ in range(6):
         rng.shuffle(order)
         assert chi_recursive(fan, d, ray_order=tuple(order)) == base
+
+
+def test_bad_recursion_budget_is_a_domain_error(monkeypatch):
+    monkeypatch.setenv("TORIC_RECURSION_BUDGET", "1e6")
+    with pytest.raises(DomainError, match="TORIC_RECURSION_BUDGET"):
+        chi_recursive(P2, TorusDivisor(P2, (1, 0, 0)))
 
 
 def test_chi_recursive_rejects_bad_ray_order():
@@ -187,27 +199,62 @@ def test_contribution_table_p1():
     assert table[0b11] == -1
 
 
-def test_scan_detail_reports_stable_box():
-    chi, lo, hi, shells = cohomology_scan_detail(P2, TorusDivisor(P2, (3, 0, 0)))
-    assert chi == 10
-    assert shells >= 2
-    # the returned box really is stable: one more shell adds nothing
-    rays = [list(u) for u in P2.rays]
-    bounds = [-a for a in (3, 0, 0)]
-    table = oracle._contribution_table(P2)
-    from toricchi import kernel
+def _shell_slabs(lo, hi):
+    """The shell around [lo, hi] as disjoint boxes: for each axis j, the two
+    slabs where coordinate j sits just outside, axes < j stay inside, and
+    axes > j range over the grown box."""
+    n = len(lo)
+    for j in range(n):
+        head_lo = [lo[i] if i < j else lo[i] - 1 for i in range(n)]
+        head_hi = [hi[i] if i < j else hi[i] + 1 for i in range(n)]
+        for side in (lo[j] - 1, hi[j] + 1):
+            s_lo = list(head_lo)
+            s_hi = list(head_hi)
+            s_lo[j] = s_hi[j] = side
+            yield tuple(s_lo), tuple(s_hi)
 
-    extra = sum(
-        kernel.box_sum(slo, shi, rays, bounds, table)
-        for slo, shi in oracle._shell_slabs(lo, hi)
-    )
-    assert extra == 0
+
+def _shell_walk(fan, coeffs, table):
+    """The scan the oracle ran before the vertex box was proven enough:
+    pad the vertex box by 2, then add shells until two in a row sum to 0.
+    Returns (sum, lo, hi) with [lo, hi] the whole region it visited."""
+    rays = fan.rays
+    bounds = [-a for a in coeffs]
+    lo, hi = oracle._arrangement_box(fan, coeffs)
+    lo = tuple(x - 2 for x in lo)
+    hi = tuple(x + 2 for x in hi)
+    total = kernel.box_sum(lo, hi, rays, bounds, table)
+    zeros = 0
+    while zeros < 2:
+        s = sum(kernel.box_sum(a, b, rays, bounds, table) for a, b in _shell_slabs(lo, hi))
+        total += s
+        zeros = zeros + 1 if s == 0 else 0
+        lo = tuple(x - 1 for x in lo)
+        hi = tuple(x + 1 for x in hi)
+    return total, lo, hi
+
+
+def test_scan_detail_reports_stable_box():
+    # the box returned is the unpadded vertex box, and the two shells
+    # around it, the old walk's stopping rule, add nothing
+    coeffs = (3, 0, 0)
+    chi, lo, hi = cohomology_scan_detail(P2, TorusDivisor(P2, coeffs))
+    assert chi == 10
+    assert (lo, hi) == oracle._arrangement_box(P2, coeffs) == ((-3, 0), (0, 3))
+    bounds = [-a for a in coeffs]
+    table = oracle._contribution_table(P2)
+    for grow in (0, 1):
+        glo = tuple(x - grow for x in lo)
+        ghi = tuple(x + grow for x in hi)
+        slabs = _shell_slabs(glo, ghi)
+        assert sum(kernel.box_sum(a, b, P2.rays, bounds, table) for a, b in slabs) == 0
 
 
 def test_shell_slabs_tile_the_shell():
+    # the shell walk relies on the slabs covering the shell once
     lo, hi = (-1, -1, -1), (1, 1, 1)
     seen = set()
-    for slo, shi in oracle._shell_slabs(lo, hi):
+    for slo, shi in _shell_slabs(lo, hi):
         pts = [
             (x, y, z)
             for x in range(slo[0], shi[0] + 1)
@@ -227,6 +274,68 @@ def test_shell_slabs_tile_the_shell():
     assert seen == want
 
 
+class _Abs:
+    """|table[mask]|, so a box sum of it is zero only if every term is."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, mask):
+        return abs(self.table[mask])
+
+
+_VERTEX_BOX_FANS = {
+    **{name: (lambda name=name: build_catalog(name)) for name in catalog_names()},
+    "p1^4": lambda: product_p1(4),
+    "p2xp2": lambda: product_fan(P2, P2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERTEX_BOX_FANS))
+def test_vertex_box_holds_every_term_of_the_shell_walk(name):
+    # every term the shell walk sees outside the vertex box is 0, and the
+    # vertex-box sum the route returns is the walk's χ
+    fan = _VERTEX_BOX_FANS[name]()
+    table = oracle._contribution_table(fan)
+    rng = random.Random(name)
+    for _ in range(34 if fan.dim <= 3 else 12):
+        coeffs = tuple(rng.randint(-6, 6) for _ in fan.rays)
+        want, wlo, whi = _shell_walk(fan, coeffs, table)
+        chi, lo, hi = cohomology_scan_detail(fan, TorusDivisor(fan, coeffs))
+        assert (lo, hi) == oracle._arrangement_box(fan, coeffs)
+        assert chi == want
+        bounds = [-a for a in coeffs]
+        outside = kernel.box_sum(wlo, whi, fan.rays, bounds, _Abs(table)) - kernel.box_sum(
+            lo, hi, fan.rays, bounds, _Abs(table)
+        )
+        assert outside == 0
+
+
+@pytest.mark.parametrize(
+    "coeffs, points", [((-1, 0, 1, -1, 0, 1, -1, 0), 128), ((3, 0, 0, 0, 0, 0, 0, 0), 16384)]
+)
+def test_p7_vertex_box_sizes(coeffs, points):
+    # the shell walk summed 2,097,152 and 10,000,000 points here, plus shells
+    fan = projective_space(7)
+    d = TorusDivisor(fan, coeffs)
+    chi, lo, hi = cohomology_scan_detail(fan, d)
+    assert math.prod(b - a + 1 for a, b in zip(lo, hi)) == points
+    assert chi == chi_hrr(fan, d)
+
+
+def test_scan_refuses_a_box_over_the_line_limit():
+    # the box of P^3 with a = (100000, 0, 0, 0) has about 10^10 lines
+    fan = build_catalog("p3")
+    with pytest.raises(ScanRegionError, match="lines"):
+        chi_graded_cohomology(fan, TorusDivisor(fan, (100000, 0, 0, 0)))
+    # the refusal comes before any summing, and the bound is on lines alone
+    assert oracle._box_sum((0, 0), (0, oracle._MAX_SCAN_LINES), [], [], [1]) == (
+        oracle._MAX_SCAN_LINES + 1
+    )
+    with pytest.raises(ScanRegionError):
+        oracle._box_sum((0, 0, 0), (1, 1 << 23, 1 << 23), [], [], [1])
+
+
 def _fraction_arrangement_box(fan, coeffs):
     """The arrangement box by a Fraction solve per nonsingular n-subset of
     the rays, as the oracle computed it before caching integer adjugates."""
@@ -242,7 +351,7 @@ def _fraction_arrangement_box(fan, coeffs):
             lo, hi = math.floor(x), math.ceil(x)
             los[i] = lo if los[i] is None or lo < los[i] else los[i]
             his[i] = hi if his[i] is None or hi > his[i] else his[i]
-    return tuple(x - 2 for x in los), tuple(x + 2 for x in his)
+    return tuple(los), tuple(his)
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["many_ray"])
@@ -257,8 +366,8 @@ def test_integer_arrangement_box_matches_fraction_solve(name):
 
 
 def test_arrangement_box_on_the_line():
-    # vertices m = −3 (ray 1) and m = −5 (ray −1), padded by 2
-    assert oracle._arrangement_box(P1, (3, -5)) == ((-7,), (-1,))
+    # vertices m = −3 (ray 1) and m = −5 (ray −1)
+    assert oracle._arrangement_box(P1, (3, -5)) == ((-5,), (-3,))
 
 
 def _eager_contributions(fan):
@@ -351,6 +460,29 @@ def test_count_matches_chi_for_nef():
                 continue
             hits += 1
             assert pts == chi_hrr(fan, d)
+
+
+def _count_by_points(fan, d):
+    """|P_D ∩ M| by testing every point of the Cartier data's bounding box,
+    as count_lattice_points did before it summed with the scan kernel."""
+    data = cartier_data(fan, d)
+    ranges = [range(min(m[i] for m in data), max(m[i] for m in data) + 1) for i in range(fan.dim)]
+    return sum(
+        all(sum(x * y for x, y in zip(m, u)) >= -a for u, a in zip(fan.rays, d.coeffs))
+        for m in product(*ranges)
+    )
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_count_lattice_points_matches_point_loop(name):
+    fan = build_catalog(name)
+    rng = random.Random(name)
+    draws = [tuple(rng.randint(0, 3) for _ in fan.rays) for _ in range(12)]
+    nef = [TorusDivisor(fan, c) for c in draws + [(0,) * len(fan.rays)]]
+    nef = [d for d in nef if is_nef(fan, d)]
+    assert len(nef) >= 2
+    for d in nef:
+        assert count_lattice_points(fan, d) == _count_by_points(fan, d)
 
 
 def test_serre_duality():
