@@ -10,12 +10,15 @@ plus the identity checks verify_ishida (Todd genus 1), verify_induction_step
 (per-ray difference identity, three forms), Serre duality, and the nef
 lattice-point count. All arithmetic is exact (ints and Fractions).
 
-Per-fan data (faces, cone inverses, move-case rows, the monomial walk and
-the integer degree tables) lives in one engine per fan, see engine.py;
-clear_caches() drops it together with the per-divisor memos.
+Every value derived from a fan alone (faces, cone inverses, move-case
+rows, smooth/complete verdicts, star fans, the principal-lattice basis, the
+contribution table, the arrangement adjugates, the monomial walk and the
+integer degree tables) lives in that fan's engine, see engine.py, and at
+most engine._MAX_ENGINES engines are kept; clear_caches() drops them
+together with the per-divisor memos.
 """
 
-from . import chow, engine, fan, oracle, todd
+from . import chow, engine, oracle, todd
 from .catalog import build_catalog, catalog_names
 from .chow import (
     CycleClass,
@@ -84,22 +87,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every per-fan and per-divisor cache: the fan engines, the Todd
-    classes, the e^D expansions (the last chow._EXP_CACHE_SIZE divisors),
-    the recursion memo, the principal-lattice bases, face contribution
-    tables and arrangement adjugates, star fans, and the smooth/complete
-    verdicts. Results never depend on them; only
+    """Drop every cache: the fan engines with every per-fan value, the
+    Todd classes, the e^D expansions (the last chow._EXP_CACHE_SIZE
+    divisors) and the recursion memo. Results never depend on them; only
     time and memory do."""
-    engine.clear_engines()
+    engine._ENGINES.clear()
     todd.todd_class.cache_clear()
     chow._exp_cached.cache_clear()
     oracle._chi_memo.clear()
-    oracle._principal_lattice_basis.cache_clear()
-    oracle._contribution_table.cache_clear()
-    oracle._arrangement_adjugates.cache_clear()
-    fan._star_fan_cached.cache_clear()
-    fan.is_smooth.cache_clear()
-    fan.is_complete.cache_clear()
 
 
 __all__ = [

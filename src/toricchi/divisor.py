@@ -59,6 +59,13 @@ class TorusDivisor:
         return not any(self.coeffs)
 
 
+def divisor_on(fan: Fan, d: TorusDivisor) -> TorusDivisor:
+    """d as a divisor on fan, for entry points that take both: d itself
+    when its fan equals fan, else its coefficients re-read on fan, which
+    raises DivisorError unless there is one per ray of fan."""
+    return d if d.fan == fan else TorusDivisor(fan, d.coeffs)
+
+
 def zero_divisor(fan: Fan) -> TorusDivisor:
     return TorusDivisor(fan, (0,) * len(fan.rays))
 

@@ -1,7 +1,8 @@
-"""Per-fan intersection engine: what the HRR route derives from the fan alone.
+"""Per-fan store: every value the routes derive from a fan alone.
 
 A FanEngine is built once per fan and held in one cache keyed on the fan
-(engine_for). It owns
+(engine_for); equal fans share it, so the equal star fans of different
+fans share one. It owns
 
   first_cone    every face of the fan (sorted ray-index tuple) mapped to the
                 lexicographically first maximal cone containing it; its keys
@@ -14,23 +15,26 @@ A FanEngine is built once per fan and held in one cache keyed on the fan
   move_row      per (σ, ρ), the rays γ ∉ σ with ⟨m, u_γ⟩ ≠ 0 for the dual
                 basis vector m of u_ρ in σ, which rewrite D_ρ near V(τ ⊆ σ),
                 so a multiplication in the Chow ring does no linear algebra;
+  memo          the values of every function decorated with per_fan: the
+                smooth and complete verdicts and the star fans (fan.py), the
+                principal-lattice basis, the face contribution table and the
+                arrangement adjugates (oracle.py), and the monomial walk with
+                its Td and C_ρ degree tables (todd.py).
 
-plus slots the todd module fills in: the MonomialWalk (chow.py) over
-σ₀ = fan.max_cones[0], that is the monomials of degree ≤ n in the r − n
-rays off σ₀, in depth-first order, with the rows that shift a divisor to
-the equivalent one vanishing on σ₀; and integer degree tables on that
-walk, one against the Todd class and one against each induction-step class
-C_ρ, each stored as integers over one scale (the lcm of its class's
-denominators). Every entry is filled on first use.
+Every entry is filled on first use. The cache keeps at most _MAX_ENGINES
+engines and drops the oldest first, with everything in it; a dropped fan
+is rebuilt on its next use and gives the same values. Oldest, not least
+recently used: a hit is then one dictionary lookup, and a fan in steady
+use is rebuilt only once per _MAX_ENGINES new fans.
 
-The engine holds no references to divisors: the HRR sums compute a
-divisor's weights on the walk afresh each call, and the only per-divisor
-memo of the route, chow's e^D expansion for the direct cross-checks, is
-bounded. toricchi.clear_caches() empties this cache with the others.
+The engines hold no references to divisors: the HRR sums compute a
+divisor's weights on the walk afresh each call. toricchi.clear_caches()
+empties this cache with the per-divisor memos.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
 
 from .errors import NonSmoothConeError
@@ -38,10 +42,7 @@ from .intlinalg import det_int, dot
 
 
 class FanEngine:
-    __slots__ = (
-        "fan", "first_cone", "_dual", "_moves",
-        "walk", "td_degrees", "step_degrees",
-    )
+    __slots__ = ("fan", "first_cone", "_dual", "_moves", "memo")
 
     def __init__(self, fan):
         self.fan = fan
@@ -54,9 +55,7 @@ class FanEngine:
         self.first_cone = first
         self._dual: dict = {}
         self._moves: dict = {}
-        self.walk = None  # chow.MonomialWalk over max_cones[0]
-        self.td_degrees = None  # chow.DegreeTable against Td(X) on walk
-        self.step_degrees: dict = {}  # ρ -> chow.DegreeTable against C_ρ on walk
+        self.memo: dict = {}  # (function, args) -> value, see per_fan
 
     def dual_basis(self, cone) -> tuple[tuple[int, ...], ...]:
         """The fan's dual basis of a maximal cone as integer vectors: the
@@ -84,16 +83,35 @@ class FanEngine:
         return got
 
 
+# A 1,000-item cold_fans session meets about 1,100 fans, of which about
+# 100 recur (the star fans); the largest rungs touch two or three.
+_MAX_ENGINES = 256
 _ENGINES: dict = {}
 
 
 def engine_for(fan) -> FanEngine:
-    """The fan's engine, built on first request."""
+    """The fan's engine, built on first request; building one past
+    _MAX_ENGINES drops the oldest."""
     got = _ENGINES.get(fan)
     if got is None:
+        if len(_ENGINES) >= _MAX_ENGINES:
+            del _ENGINES[next(iter(_ENGINES))]
         got = _ENGINES[fan] = FanEngine(fan)
     return got
 
 
-def clear_engines() -> None:
-    _ENGINES.clear()
+def per_fan(fn):
+    """Decorator: cache fn(fan, *args) in the memo of the fan's engine, so
+    the value lives and goes with the engine. Exceptions are not cached."""
+
+    @wraps(fn)
+    def cached(fan, *args):
+        memo = engine_for(fan).memo
+        key = (fn, args)
+        try:
+            return memo[key]
+        except KeyError:
+            got = memo[key] = fn(fan, *args)
+            return got
+
+    return cached

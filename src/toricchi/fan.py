@@ -20,13 +20,12 @@ decided with Fraction arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .engine import engine_for
+from .engine import engine_for, per_fan
 from .errors import FanFormatError, FanValidationError, NonSmoothConeError, NotAFaceError
 from .errors import NotCompleteError, ToricError, exact_ints
 from .intlinalg import dot, inv_rational, kernel_vector, primitive_vector, vector_gcd
@@ -278,7 +277,7 @@ def format_fan(fan: Fan) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def is_smooth(fan: Fan) -> CheckReport:
     """Every maximal cone's rays must be a lattice basis: its dual basis
     from construction is integral. The witness is the first cone that is
@@ -294,7 +293,7 @@ def is_smooth(fan: Fan) -> CheckReport:
     return CheckReport(True)
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def is_complete(fan: Fan) -> CheckReport:
     """Completeness: every (n−1)-face (wall) lies in exactly two maximal cones.
 
@@ -394,7 +393,7 @@ def star_fan(fan: Fan, tau) -> StarFan:
     return _star_fan_cached(fan, tau)
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def _star_fan_cached(fan: Fan, tau: tuple[int, ...]) -> StarFan:
     if spans_cone(fan, tau) is None:
         raise NotAFaceError(f"{tau} is not a face of the fan")

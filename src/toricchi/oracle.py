@@ -51,12 +51,11 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict
-from functools import lru_cache
 from itertools import combinations
 
 from . import kernel
-from .divisor import TorusDivisor, canonical_divisor, restrict_divisor
-from .engine import engine_for
+from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict_divisor
+from .engine import engine_for, per_fan
 from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
 from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import (
@@ -71,7 +70,7 @@ from .todd import chi_hrr
 DEFAULT_RECURSION_BUDGET = 1_000_000
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def _principal_lattice_basis(fan: Fan):
     rows = [[u[i] for u in fan.rays] for i in range(fan.dim)]
     return tuple(tuple(r) for r in lattice_basis_hnf(rows, len(fan.rays)))
@@ -113,7 +112,7 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
         if len(_chi_memo) > _CHI_MEMO_CAP:
             _chi_memo.clear()
         memo = _chi_memo
-    return _chi(fan, d.coeffs, ray_order, memo, budget)
+    return _chi(fan, divisor_on(fan, d).coeffs, ray_order, memo, budget)
 
 
 def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
@@ -180,14 +179,14 @@ class _LazyContributions(dict):
         return value
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def _contribution_table(fan: Fan) -> _LazyContributions:
     """table[mask] = 1 − χ_face(subcomplex induced on the rays in mask),
     each entry computed the first time the scan reads it."""
     return _LazyContributions(_face_masks(fan))
 
 
-@lru_cache(maxsize=None)
+@per_fan
 def _arrangement_adjugates(fan: Fan):
     """(ray subset, |det A| · A⁻¹, |det A|) for every nonsingular n-subset
     of the rays, A the matrix of their rows: both integral. The vertex
@@ -251,14 +250,14 @@ def _scan(fan: Fan, coeffs):
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the arrangement's vertex box."""
     require_complete(fan)
-    return _scan(fan, d.coeffs)[0]
+    return _scan(fan, divisor_on(fan, d).coeffs)[0]
 
 
 def cohomology_scan_detail(fan: Fan, d: TorusDivisor):
     """(chi, lo, hi): χ(O(D)) and the box [lo, hi] it summed, the bounding
     box of the arrangement vertices (empty tuples on a 0-dimensional fan)."""
     require_complete(fan)
-    return _scan(fan, d.coeffs)
+    return _scan(fan, divisor_on(fan, d).coeffs)
 
 
 def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
@@ -267,6 +266,7 @@ def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
     m_σ = Σ_j −a_{σ_j} · m_j over the cone's dual basis m_j (the columns of
     its inverse ray matrix, shared with the fan's engine).
     """
+    d = divisor_on(fan, d)
     engine = engine_for(fan)
     out = []
     for cone in fan.max_cones:
@@ -279,6 +279,7 @@ def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
 
 def is_nef(fan: Fan, d: TorusDivisor) -> bool:
     """Cartier-data inequalities ⟨m_σ, u_γ⟩ ≥ −a_γ at every cone, every ray."""
+    d = divisor_on(fan, d)
     if fan.dim == 0:
         return True
     for m in cartier_data(fan, d):
@@ -295,6 +296,7 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     the Cartier data, so their bounding box holds every point counted.
     """
     require_complete(fan)
+    d = divisor_on(fan, d)
     if fan.dim == 0:
         return 1
     if not is_nef(fan, d):
@@ -324,6 +326,7 @@ def chi_by_method(fan: Fan, d: TorusDivisor, method: str) -> int:
 def serre_duality_check(fan: Fan, d: TorusDivisor, method: str = "hrr") -> bool:
     """χ(D) == (−1)^n · χ(K − D) with both sides by the selected method."""
     k = canonical_divisor(fan)
+    d = divisor_on(fan, d)
     lhs = chi_by_method(fan, d, method)
     rhs = chi_by_method(fan, k - d, method)
     return lhs == (-1) ** fan.dim * rhs

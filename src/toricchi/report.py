@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from .divisor import TorusDivisor, canonical_divisor
 from .errors import DomainError
 from .fan import Fan
-from .oracle import chi_graded_cohomology, chi_recursive, count_lattice_points
-from .todd import chi_hrr, verify_induction_step, verify_ishida
+from .oracle import CHI_METHODS, count_lattice_points
+from .todd import verify_induction_step, verify_ishida
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,7 @@ class ChiReport:
 
 
 def _divisor_reports(fan: Fan, fan_name: str, d: TorusDivisor) -> ChiReport:
-    chi = {
-        "hrr": chi_hrr(fan, d),
-        "recursive": chi_recursive(fan, d),
-        "cohomology": chi_graded_cohomology(fan, d),
-    }
+    chi = {method: fn(fan, d) for method, fn in CHI_METHODS.items()}
     checks: list[tuple[str, str, str]] = []
     values = sorted(set(chi.values()))
     checks.append(
@@ -64,11 +60,7 @@ def _divisor_reports(fan: Fan, fan_name: str, d: TorusDivisor) -> ChiReport:
         )
     k = canonical_divisor(fan)
     sign = (-1) ** fan.dim
-    for method, fn in (
-        ("hrr", chi_hrr),
-        ("recursive", chi_recursive),
-        ("cohomology", chi_graded_cohomology),
-    ):
+    for method, fn in CHI_METHODS.items():
         dual = fn(fan, k - d)
         ok = chi[method] == sign * dual
         checks.append(

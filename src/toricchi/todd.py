@@ -43,8 +43,8 @@ from .chow import (
     fundamental_class,
     multiply_ray_divisor,
 )
-from .divisor import TorusDivisor, restrict_divisor
-from .engine import engine_for
+from .divisor import TorusDivisor, divisor_on, restrict_divisor
+from .engine import _MAX_ENGINES, per_fan
 from .errors import DomainError, ToricError
 from .fan import Fan, ray_index, require_complete, spans_cone
 
@@ -79,7 +79,8 @@ def _apply_todd_factor(cls: CycleClass, rho: int, t, choose_cone=None) -> CycleC
     return acc
 
 
-@lru_cache(maxsize=None)
+# an lru_cache, not per_fan, because perfbench/run.py reads its cache_info()
+@lru_cache(maxsize=_MAX_ENGINES)
 def todd_class(fan: Fan) -> CycleClass:
     """Td(X) = Π over rays of the truncated factor, on the fundamental class."""
     t = todd_univariate(fan.dim)
@@ -89,33 +90,25 @@ def todd_class(fan: Fan) -> CycleClass:
     return cls
 
 
+@per_fan
 def _walk(fan: Fan) -> MonomialWalk:
-    engine = engine_for(fan)
-    if engine.walk is None:
-        engine.walk = MonomialWalk(fan, fan.max_cones[0])
-    return engine.walk
+    return MonomialWalk(fan, fan.max_cones[0])
 
 
+@per_fan
 def _td_degrees(fan: Fan) -> DegreeTable:
-    engine = engine_for(fan)
-    if engine.td_degrees is None:
-        engine.td_degrees = DegreeTable(todd_class(fan), _walk(fan))
-    return engine.td_degrees
+    return DegreeTable(todd_class(fan), _walk(fan))
 
 
+@per_fan
 def _step_degrees(fan: Fan, rho: int) -> DegreeTable:
-    tables = engine_for(fan).step_degrees
-    got = tables.get(rho)
-    if got is None:
-        got = tables[rho] = DegreeTable(step_class(fan, rho), _walk(fan))
-    return got
+    return DegreeTable(step_class(fan, rho), _walk(fan))
 
 
 def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) = degree(e^D · Td(X)); exact, asserts integrality."""
     require_complete(fan)
-    if d.fan != fan:
-        d = TorusDivisor(fan, d.coeffs)
+    d = divisor_on(fan, d)
     td = _td_degrees(fan)
     total = td.pair(td.walk.weights(d.coeffs))
     den = factorial(fan.dim) * td.scale
@@ -127,6 +120,7 @@ def chi_hrr(fan: Fan, d: TorusDivisor) -> int:
 
 def chi_hrr_direct(fan: Fan, d: TorusDivisor) -> Fraction:
     """Uncached route: degree(apply(e^D) to Td). Cross-checks chi_hrr."""
+    d = divisor_on(fan, d)
     return degree(apply_divisor_polynomial(todd_class(fan), exp_divisor(d, fan.dim)))
 
 
@@ -181,6 +175,7 @@ def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
     upstairs; the two tables share the walk, hence D's weights.
     """
     require_complete(fan)
+    d = divisor_on(fan, d)
     restricted = restrict_divisor(d, rho)
     lhs = chi_hrr(restricted.fan, restricted)
 
@@ -200,5 +195,6 @@ def step_intermediate_direct(fan: Fan, d: TorusDivisor, rho: int, choose_cone=No
     """Uncached route: degree(apply(e^D) to C_ρ). Cross-checks the step
     table behind verify_induction_step's intermediate, as chi_hrr_direct
     does for chi_hrr; choose_cone is passed to every multiplication."""
+    d = divisor_on(fan, d)
     cls = step_class(fan, rho, choose_cone)
     return degree(apply_divisor_polynomial(cls, exp_divisor(d, fan.dim), choose_cone))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toricchi import oracle, todd
 from toricchi.catalog import build_catalog, hirzebruch, projective_space
 from toricchi.divisor import (
     TorusDivisor,
@@ -186,3 +187,34 @@ def test_restriction_respects_linear_equivalence(coeffs, m):
         r1 = restrict_divisor(d, rho)
         r2 = restrict_divisor(shifted, rho)
         assert is_linearly_equivalent(r1, r2) is not None
+
+
+ENTRY_POINTS = {
+    "chi_hrr": todd.chi_hrr,
+    "chi_hrr_direct": todd.chi_hrr_direct,
+    "verify_induction_step": lambda f, d: todd.verify_induction_step(f, d, 0),
+    "step_intermediate_direct": lambda f, d: todd.step_intermediate_direct(f, d, 0),
+    "chi_recursive": oracle.chi_recursive,
+    "chi_graded_cohomology": oracle.chi_graded_cohomology,
+    "cohomology_scan_detail": oracle.cohomology_scan_detail,
+    "chi_by_method": lambda f, d: oracle.chi_by_method(f, d, "recursive"),
+    "serre_duality_check": oracle.serre_duality_check,
+    "count_lattice_points": oracle.count_lattice_points,
+    "is_nef": oracle.is_nef,
+    "cartier_data": oracle.cartier_data,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_foreign_divisor_is_rewrapped_or_refused(entry):
+    # a divisor from another fan is read as its coefficients on the given
+    # fan: refused unless there is one per ray, answered as on that fan if
+    # the two fans are equal
+    call = ENTRY_POINTS[entry]
+    for other in (build_catalog("p1xp1"), P1):
+        d = TorusDivisor(other, (1,) + (0,) * (len(other.rays) - 1))
+        with pytest.raises(DivisorError):
+            call(P2, d)
+    twin = projective_space(2)
+    assert twin is not P2
+    assert call(P2, TorusDivisor(twin, (2, -1, 0))) == call(P2, TorusDivisor(P2, (2, -1, 0)))
