@@ -10,15 +10,15 @@ plus the identity checks verify_ishida (Todd genus 1), verify_induction_step
 (per-ray difference identity, three forms), Serre duality, and the nef
 lattice-point count. All arithmetic is exact (ints and Fractions).
 
-Every value derived from a fan alone (faces, cone inverses, move-case
-rows, smooth/complete verdicts, star fans, the principal-lattice basis, the
-contribution table, the arrangement adjugates, the monomial walk and the
-integer degree tables) lives in that fan's engine, see engine.py, and at
-most engine._MAX_ENGINES engines are kept; clear_caches() drops them
-together with the per-divisor memos.
+A Fan decides at construction whether it is smooth and complete and keeps
+its integer dual bases. Every other value derived from a fan alone (faces,
+move-case rows, star fans, the principal-lattice basis, the contribution
+table, the arrangement adjugates, the monomial walk and the integer degree
+tables) lives in that fan's engine, see engine.py; at most
+engine._MAX_ENGINES are kept, and clear_caches() drops them.
 """
 
-from . import chow, engine, oracle, todd
+from . import engine, oracle, todd
 from .catalog import build_catalog, catalog_names
 from .chow import (
     CycleClass,
@@ -88,12 +88,10 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every cache: the fan engines with every per-fan value, the
-    Todd classes, the e^D expansions (the last chow._EXP_CACHE_SIZE
-    divisors) and the recursion memo. Results never depend on them; only
-    time and memory do."""
+    Todd classes and the recursion memo. Results never depend on them; only
+    time and memory do. What a Fan decided at construction stays on it."""
     engine._ENGINES.clear()
     todd.todd_class.cache_clear()
-    chow._exp_cached.cache_clear()
     oracle._chi_memo.clear()
 
 

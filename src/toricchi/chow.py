@@ -33,14 +33,13 @@ deg(e^D · base) = Σ_α weight_α · table_α / (n! · L), an integer sum with
 one division at the end.
 
 exp_divisor is the same expansion as rational terms over D's own support,
-for the uncached cross-checks (chi_hrr_direct, step_intermediate_direct);
-its memo keeps the last _EXP_CACHE_SIZE divisors.
+built afresh on each call, for the uncached cross-checks (chi_hrr_direct,
+step_intermediate_direct).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, lcm
 from operator import mul
@@ -188,7 +187,7 @@ class MonomialWalk:
         n = fan.dim
         self.fan = fan
         self.sigma = sigma = tuple(sigma)
-        dual = engine_for(fan).dual_basis(sigma)
+        dual = fan.dual_basis(sigma)
         self.off = off = tuple(g for g in range(len(fan.rays)) if g not in sigma)
         self.shifts = tuple(tuple(dot(m, fan.rays[g]) for m in dual) for g in off)
         rays, parent, slot, run = [()], [-1], [-1], [0]
@@ -256,30 +255,22 @@ class DegreeTable:
         return sum(map(mul, weights, self.degrees))
 
 
-_EXP_CACHE_SIZE = 1024
+def exp_divisor(d: TorusDivisor, order: int) -> list[Term]:
+    """Expansion of e^D = Σ_{k≤order} (Σ a_ρ D_ρ)^k / k! as monomial terms.
 
-
-@lru_cache(maxsize=_EXP_CACHE_SIZE)
-def _exp_cached(fan: Fan, coeffs: tuple[int, ...], order: int) -> tuple[Term, ...]:
-    # e^D truncated: the sorted monomial Π D_i^{α_i} has coefficient
-    # Π a_i^{α_i} / α_i!, and α_i! is the product of the run counts of i
-    support = [i for i, a in enumerate(coeffs) if a]
+    Deterministic order: by monomial length, then lexicographically.
+    """
+    # the sorted monomial Π D_i^{α_i} has coefficient Π a_i^{α_i} / α_i!,
+    # and α_i! is the product of the run counts of i
+    support = [i for i, a in enumerate(d.coeffs) if a]
     terms = []
     for k in range(order + 1):
         for mono in combinations_with_replacement(support, k):
             num = den = 1
             run = 0
             for j, i in enumerate(mono):
-                num *= coeffs[i]
+                num *= d.coeffs[i]
                 run = run + 1 if j and mono[j - 1] == i else 1
                 den *= run
             terms.append(Term(Fraction(num, den), mono))
-    return tuple(terms)
-
-
-def exp_divisor(d: TorusDivisor, order: int) -> list[Term]:
-    """Expansion of e^D = Σ_{k≤order} (Σ a_ρ D_ρ)^k / k! as monomial terms.
-
-    Deterministic order: by monomial length, then lexicographically.
-    """
-    return list(_exp_cached(d.fan, d.coeffs, order))
+    return terms

@@ -93,11 +93,11 @@ def dual_basis_vector(fan: Fan, sigma, rho: int) -> tuple[int, ...]:
     """m with ⟨m, u_ρ⟩ = 1 and ⟨m, u_γ⟩ = 0 for the other rays γ of sigma.
 
     sigma must be a smooth maximal cone containing rho; m is the
-    corresponding column of the inverse ray matrix, cached by the fan's
-    engine (NonSmoothConeError if sigma is not unimodular).
+    corresponding column of the inverse ray matrix, which the fan keeps
+    (NonSmoothConeError if sigma is not unimodular).
     """
     sigma = tuple(sigma)
-    return engine_for(fan).dual_basis(sigma)[sigma.index(rho)]
+    return fan.dual_basis(sigma)[sigma.index(rho)]
 
 
 def first_cone_containing(fan: Fan, rays) -> tuple[int, ...]:

@@ -6,12 +6,12 @@ structure exactly: integer input (a float or Fraction is rejected, never
 truncated), primitive distinct rays, full-dimensional simplicial maximal
 cones, every ray used, and the fan condition (any two maximal cones meet in
 a common face), decided for each pair in the coordinates of one of its
-cones. That check inverts each maximal cone's ray matrix once, and the fan
-keeps those exact inverses (dual_bases): smoothness, the engine's integral
-dual bases and the star fans all read them instead of inverting again.
-Smoothness and completeness are separate checks returning witness reports,
-so a structurally valid but non-smooth or non-complete fan can still be
-inspected; require_complete is the one gate that raises instead.
+cones. That check inverts each maximal cone's ray matrix once; from the
+inverses construction also decides smooth and, by the wall count,
+complete. The fan keeps both verdicts, with witnesses, and the integer dual
+basis of every unimodular cone, which everything else reads. A non-smooth
+or non-complete fan still constructs, so it can be inspected;
+require_complete is the one gate that raises instead.
 
 There is no floating point anywhere: memberships and intersections are
 decided with Fraction arithmetic.
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 from .engine import engine_for, per_fan
 from .errors import FanFormatError, FanValidationError, NonSmoothConeError, NotAFaceError
 from .errors import NotCompleteError, ToricError, exact_ints
-from .intlinalg import dot, inv_rational, kernel_vector, primitive_vector, vector_gcd
+from .intlinalg import det_int, dot, inv_rational, kernel_vector, primitive_vector, vector_gcd
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class Fan:
     max_cones: tuple of sorted tuples of ray indices, each of length dim
     with linearly independent rays. dim 0 is allowed (the fan of a point,
     one empty cone); it arises as the star fan of a maximal cone.
-    dual_bases (read-only, not a field, so equality and hashing ignore it)
-    maps each maximal cone to the Fraction columns of its inverse ray matrix.
+    dual_bases (each unimodular maximal cone's integer inverse columns),
+    smooth and complete (CheckReports) are read-only attributes, not fields,
+    so equality and hashing ignore them.
     """
 
     dim: int
@@ -69,7 +70,10 @@ class Fan:
         object.__setattr__(self, "rays", rays)
         # canonical cone order: the same geometric fan always compares equal
         object.__setattr__(self, "max_cones", tuple(sorted(tuple(sorted(c)) for c in cones)))
-        object.__setattr__(self, "dual_bases", MappingProxyType(_validate(self)))
+        duals, smooth = _integer_duals(self, _validate(self))
+        object.__setattr__(self, "dual_bases", MappingProxyType(duals))
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "complete", _wall_count(dim, self.max_cones))
         # fans key every per-fan cache; hash the nested tuples once, not per lookup
         object.__setattr__(self, "_hash", hash((self.dim, self.rays, self.max_cones)))
 
@@ -77,8 +81,18 @@ class Fan:
         return self._hash
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild from the fields, so dual_bases is remade
+        # pickle and deepcopy rebuild from the fields, so the attributes are remade
         return Fan, (self.dim, self.rays, self.max_cones)
+
+    def dual_basis(self, cone) -> tuple[tuple[int, ...], ...]:
+        """The maximal cone's dual basis m_j, ⟨m_j, u_{cone[i]}⟩ = [i = j];
+        NonSmoothConeError (with its determinant) unless it is unimodular."""
+        got = self.dual_bases.get(cone)
+        if got is None:
+            if cone not in self.max_cones:
+                raise ToricError(f"{cone} is not a maximal cone of the fan")
+            raise NonSmoothConeError(cone, det_int(self.ray_matrix(cone)))
+        return got
 
     def ray_matrix(self, cone) -> list[list[int]]:
         """Rows are the ray generators of the given cone (tuple of indices)."""
@@ -138,6 +152,52 @@ def _validate(fan: Fan) -> dict:
         if i not in used:
             raise FanValidationError(f"unused ray {i} {fan.rays[i]}")
     return _check_fan_condition(n, fan.rays, fan.max_cones)
+
+
+def _integer_duals(fan: Fan, duals: dict) -> tuple[dict, CheckReport]:
+    """The integer dual bases of the cones whose inverse is integral (whose
+    rays are a lattice basis), and the smooth verdict, with the first cone
+    that is not as witness; only its determinant is computed."""
+    ints = {}
+    verdict = CheckReport(True)
+    for k, cone in enumerate(fan.max_cones):
+        columns = duals[cone]
+        if all(x.denominator == 1 for m in columns for x in m):
+            ints[cone] = tuple(tuple(x.numerator for x in m) for m in columns)
+        elif verdict:
+            det = det_int(fan.ray_matrix(cone))
+            verdict = CheckReport(
+                False, f"maximal cone {k} {cone} has determinant {det}, not ±1", cone
+            )
+    return ints, verdict
+
+
+def _wall_count(n: int, cones) -> CheckReport:
+    """Completeness: every (n−1)-face (wall) lies in exactly two maximal cones.
+
+    The wall count is exact for a Fan, because construction has already
+    checked the fan condition. Two full-dimensional simplicial cones that
+    share a wall then meet only in that wall, so they lie on opposite
+    sides of it, and every point in the relative interior of a wall with
+    two cones is interior to the support. If the support is not all of
+    R^n, a generic segment from inside a cone to a point outside the
+    support leaves the support through the relative interior of some wall
+    (it misses every face of dimension n−2 or less), and that wall lies in
+    only one cone. So the fan is complete exactly when every wall lies in
+    two cones; the witness is the first wall in sorted order that does not.
+    """
+    if n == 0:
+        return CheckReport(True)
+    walls: dict[tuple[int, ...], list[int]] = {}
+    for k, cone in enumerate(cones):
+        for wall in combinations(cone, n - 1):
+            walls.setdefault(wall, []).append(k)
+    for wall, owners in sorted(walls.items()):
+        if len(owners) != 2:
+            return CheckReport(
+                False, f"wall {wall} lies in {len(owners)} maximal cone(s), expected 2", wall
+            )
+    return CheckReport(True)
 
 
 def _check_fan_condition(n: int, rays, cones) -> dict:
@@ -277,63 +337,25 @@ def format_fan(fan: Fan) -> str:
     return "\n".join(lines) + "\n"
 
 
-@per_fan
 def is_smooth(fan: Fan) -> CheckReport:
-    """Every maximal cone's rays must be a lattice basis: its dual basis
-    from construction is integral. The witness is the first cone that is
-    not; only its determinant is computed, to word the reason."""
-    engine = engine_for(fan)
-    for k, cone in enumerate(fan.max_cones):
-        try:
-            engine.dual_basis(cone)
-        except NonSmoothConeError as exc:
-            return CheckReport(
-                False, f"maximal cone {k} {cone} has determinant {exc.determinant}, not ±1", cone
-            )
-    return CheckReport(True)
+    """The smooth verdict decided at construction, see _integer_duals."""
+    return fan.smooth
 
 
-@per_fan
 def is_complete(fan: Fan) -> CheckReport:
-    """Completeness: every (n−1)-face (wall) lies in exactly two maximal cones.
-
-    The wall count is exact for a Fan, because construction has already
-    checked the fan condition. Two full-dimensional simplicial cones that
-    share a wall then meet only in that wall, so they lie on opposite
-    sides of it, and every point in the relative interior of a wall with
-    two cones is interior to the support. If the support is not all of
-    R^n, a generic segment from inside a cone to a point outside the
-    support leaves the support through the relative interior of some wall
-    (it misses every face of dimension n−2 or less), and that wall lies in
-    only one cone. So the fan is complete exactly when every wall lies in
-    two cones; the witness is the first wall in sorted order that does not.
-    """
-    n = fan.dim
-    if n == 0:
-        return CheckReport(True)
-    walls: dict[tuple[int, ...], list[int]] = {}
-    for k, cone in enumerate(fan.max_cones):
-        for wall in combinations(cone, n - 1):
-            walls.setdefault(wall, []).append(k)
-    for wall, owners in sorted(walls.items()):
-        if len(owners) != 2:
-            return CheckReport(
-                False, f"wall {wall} lies in {len(owners)} maximal cone(s), expected 2", wall
-            )
-    return CheckReport(True)
+    """The complete verdict decided at construction, see _wall_count."""
+    return fan.complete
 
 
 def require_complete(fan: Fan) -> None:
     """The one gate every chi and verify entry point calls first: raise
     NotCompleteError with the open wall unless the fan is complete, then
     NonSmoothConeError with the first non-unimodular cone unless it is
-    smooth."""
-    report = is_complete(fan)
-    if not report:
-        raise NotCompleteError(report.witness, report.reason)
-    report = is_smooth(fan)
-    if not report:
-        engine_for(fan).dual_basis(report.witness)  # raises NonSmoothConeError
+    smooth. Both verdicts were decided when the fan was built."""
+    if not fan.complete:
+        raise NotCompleteError(fan.complete.witness, fan.complete.reason)
+    if not fan.smooth:
+        fan.dual_basis(fan.smooth.witness)  # raises NonSmoothConeError
 
 
 def enumerate_faces(fan: Fan, k: int) -> tuple[tuple[int, ...], ...]:
@@ -389,7 +411,7 @@ def star_fan(fan: Fan, tau) -> StarFan:
     images of the maximal cones containing tau. An image that is not
     primitive, or two that coincide, fail the star fan's own validation.
     """
-    tau = tuple(sorted(set(tau)))
+    tau = tuple(sorted({ray_index(fan, i) for i in tau}))
     return _star_fan_cached(fan, tau)
 
 
@@ -399,9 +421,8 @@ def _star_fan_cached(fan: Fan, tau: tuple[int, ...]) -> StarFan:
         raise NotAFaceError(f"{tau} is not a face of the fan")
     if not tau:
         return StarFan(fan, MappingProxyType({i: i for i in range(len(fan.rays))}))
-    engine = engine_for(fan)
-    sigma = engine.first_cone[tau]
-    basis = [m for i, m in zip(sigma, engine.dual_basis(sigma)) if i not in tau]
+    sigma = engine_for(fan).first_cone[tau]
+    basis = [m for i, m in zip(sigma, fan.dual_basis(sigma)) if i not in tau]
     tau_set = set(tau)
     cones = [c for c in fan.max_cones if tau_set.issubset(c)]
     adjacent = sorted({g for c in cones for g in c} - tau_set)

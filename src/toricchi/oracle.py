@@ -55,8 +55,8 @@ from itertools import combinations
 
 from . import kernel
 from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict_divisor
-from .engine import engine_for, per_fan
-from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
+from .engine import per_fan
+from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError, exact_ints
 from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import (
     det_int,
@@ -65,7 +65,7 @@ from .intlinalg import (
     lattice_basis_hnf,
     reduce_mod_lattice,
 )
-from .todd import chi_hrr
+from .todd import chi_hrr  # noqa: F401  (CHI_METHODS names it)
 
 DEFAULT_RECURSION_BUDGET = 1_000_000
 
@@ -104,7 +104,7 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
     except ValueError:
         raise DomainError(f"TORIC_RECURSION_BUDGET must be an integer, got {text!r}") from None
     if ray_order is not None:
-        ray_order = tuple(ray_order)
+        ray_order = exact_ints(ray_order, ToricError, "ray_order")
         if sorted(ray_order) != list(range(len(fan.rays))):
             raise ToricError(f"ray_order {ray_order} is not a permutation of the rays")
         memo: dict = {}
@@ -264,13 +264,12 @@ def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
     """m_σ per maximal cone with ⟨m_σ, u_ρ⟩ = −a_ρ on the cone's rays.
 
     m_σ = Σ_j −a_{σ_j} · m_j over the cone's dual basis m_j (the columns of
-    its inverse ray matrix, shared with the fan's engine).
+    its inverse ray matrix, which the fan keeps).
     """
     d = divisor_on(fan, d)
-    engine = engine_for(fan)
     out = []
     for cone in fan.max_cones:
-        basis = engine.dual_basis(cone)
+        basis = fan.dual_basis(cone)
         out.append(
             tuple(-sum(d.coeffs[i] * m[r] for i, m in zip(cone, basis)) for r in range(fan.dim))
         )
@@ -308,19 +307,20 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     return _box_sum(lo, hi, fan.rays, [-a for a in d.coeffs], inside)
 
 
+# method -> route name, looked up when called, so a rebound name is what runs
 CHI_METHODS = {
-    "hrr": chi_hrr,
-    "recursive": chi_recursive,
-    "cohomology": chi_graded_cohomology,
+    "hrr": "chi_hrr",
+    "recursive": "chi_recursive",
+    "cohomology": "chi_graded_cohomology",
 }
 
 
 def chi_by_method(fan: Fan, d: TorusDivisor, method: str) -> int:
     try:
-        fn = CHI_METHODS[method]
+        name = CHI_METHODS[method]
     except KeyError:
         raise ToricError(f"unknown chi method {method!r}") from None
-    return fn(fan, d)
+    return globals()[name](fan, d)
 
 
 def serre_duality_check(fan: Fan, d: TorusDivisor, method: str = "hrr") -> bool:

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass, field
 
 from .divisor import TorusDivisor, canonical_divisor
-from .errors import DomainError
+from .errors import DomainError, ToricError, exact_ints
 from .fan import Fan
-from .oracle import CHI_METHODS, count_lattice_points
+from .oracle import CHI_METHODS, chi_by_method, count_lattice_points
 from .todd import verify_induction_step, verify_ishida
 
 
@@ -39,7 +39,7 @@ class ChiReport:
 
 
 def _divisor_reports(fan: Fan, fan_name: str, d: TorusDivisor) -> ChiReport:
-    chi = {method: fn(fan, d) for method, fn in CHI_METHODS.items()}
+    chi = {method: chi_by_method(fan, d, method) for method in CHI_METHODS}
     checks: list[tuple[str, str, str]] = []
     values = sorted(set(chi.values()))
     checks.append(
@@ -60,8 +60,8 @@ def _divisor_reports(fan: Fan, fan_name: str, d: TorusDivisor) -> ChiReport:
         )
     k = canonical_divisor(fan)
     sign = (-1) ** fan.dim
-    for method, fn in CHI_METHODS.items():
-        dual = fn(fan, k - d)
+    for method in CHI_METHODS:
+        dual = chi_by_method(fan, k - d, method)
         ok = chi[method] == sign * dual
         checks.append(
             (f"serre-{method}", "PASS" if ok else "FAIL", f"chi={chi[method]} dual={dual}")
@@ -89,7 +89,10 @@ def run_verification(
     fan_name: str = "fan",
 ) -> list[ChiReport]:
     """One ChiReport per trial divisor; trial 0 is the zero divisor."""
-    lo, hi = coeff_range
+    (trials,) = exact_ints((trials,), ToricError, "trials")
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
+    lo, hi = exact_ints(coeff_range, ToricError, "coefficient range")
     if lo > hi:
         raise DomainError(f"empty coefficient range {lo}..{hi}")
     rng = random.Random(seed)

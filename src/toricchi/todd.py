@@ -45,7 +45,7 @@ from .chow import (
 )
 from .divisor import TorusDivisor, divisor_on, restrict_divisor
 from .engine import _MAX_ENGINES, per_fan
-from .errors import DomainError, ToricError
+from .errors import DomainError, ToricError, exact_ints
 from .fan import Fan, ray_index, require_complete, spans_cone
 
 
@@ -54,9 +54,11 @@ def todd_generating_series(order: int) -> list[Fraction]:
     return [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)]
 
 
-@lru_cache(maxsize=None)
+# typed, so 2.0 is not served the entry of 2 and reaches the check
+@lru_cache(maxsize=None, typed=True)
 def todd_univariate(order: int) -> tuple[Fraction, ...]:
     """t_0..t_order with Σ t_k x^k ≡ x/(1 − e^{−x}) mod x^{order+1}."""
+    (order,) = exact_ints((order,), ToricError, "Todd series order")
     if order < 0:
         raise DomainError(f"Todd series order must be nonnegative, got {order}")
     g = todd_generating_series(order)

@@ -117,23 +117,6 @@ def test_exp_divisor_term_order_is_canonical():
     assert keys == sorted(keys, key=lambda m: (len(m), m))
 
 
-def test_exp_memo_stays_under_its_cap():
-    # a long run of distinct divisors keeps the per-divisor memo bounded;
-    # chi_hrr itself keeps nothing per divisor
-    from toricchi import chow, clear_caches
-    from toricchi.todd import chi_hrr
-
-    cap = chow._exp_cached.cache_info().maxsize
-    assert cap == chow._EXP_CACHE_SIZE < 5000
-    for k in range(5000):
-        d = TorusDivisor(P2, (k, -k, k % 7))
-        exp_divisor(d, 2)
-        chi_hrr(P2, d)
-    assert chow._exp_cached.cache_info().currsize <= cap
-    clear_caches()
-    assert chow._exp_cached.cache_info().currsize == 0
-
-
 @given(st.tuples(*[st.integers(-4, 4)] * 3))
 @settings(max_examples=30)
 def test_exp_divisor_scalar_multiples(coeffs):

@@ -18,7 +18,15 @@ from toricchi.cli import main
 from toricchi.divisor import TorusDivisor, dual_basis_vector, first_cone_containing
 from toricchi.engine import engine_for
 from toricchi.errors import NonSmoothConeError
-from toricchi.fan import Fan, enumerate_faces, is_complete, is_smooth, spans_cone, star_fan
+from toricchi.fan import (
+    Fan,
+    enumerate_faces,
+    is_complete,
+    is_smooth,
+    require_complete,
+    spans_cone,
+    star_fan,
+)
 from toricchi.intlinalg import inv_unimodular, solve_unimodular
 from toricchi.oracle import (
     cartier_data,
@@ -59,11 +67,10 @@ def scan_spans_cone(fan, rays):
 @pytest.mark.parametrize("name", ALL_FANS)
 def test_dual_bases_are_columns_of_the_inverse(name):
     fan = build_catalog(name)
-    engine = engine_for(fan)
     for cone in fan.max_cones:
         inv = inv_unimodular(fan.ray_matrix(cone))
         columns = tuple(tuple(row[j] for row in inv) for j in range(fan.dim))
-        assert engine.dual_basis(cone) == columns
+        assert fan.dual_basis(cone) == columns
         for j, rho in enumerate(cone):
             assert dual_basis_vector(fan, cone, rho) == columns[j]
 
@@ -127,12 +134,28 @@ def test_step_table_matches_direct_intermediate(name):
 def test_non_unimodular_cone_raises_typed_error():
     fan = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(NonSmoothConeError) as info:
-        engine_for(fan).dual_basis((0, 1))
+        fan.dual_basis((0, 1))
     assert info.value.cone == (0, 1)
     assert info.value.determinant == 2
     assert isinstance(info.value, toricchi.ToricError)
     # smooth cones of the same fan still invert
-    assert engine_for(fan).dual_basis((1, 2)) == ((-1, 1), (-2, 1))
+    assert fan.dual_basis((1, 2)) == ((-1, 1), (-2, 1))
+    assert (0, 1) not in fan.dual_bases
+    with pytest.raises(toricchi.ToricError, match="not a maximal cone"):
+        fan.dual_basis((0,))
+
+
+def test_verdicts_build_no_engine(capsys):
+    # smooth and complete are decided when the fan is built, so the gate
+    # and `toric check` read them without the face closure of an engine
+    toricchi.clear_caches()
+    for name in ALL_FANS:
+        fan = build_catalog(name)
+        require_complete(fan)
+        assert is_smooth(fan) and is_complete(fan)
+    assert main(["check", "catalog:projective_space:12"]) == 0
+    assert "smooth: yes\ncomplete: yes\n" in capsys.readouterr().out
+    assert engine._ENGINES == {}
 
 
 def test_move_case_rejects_a_class_off_the_fan():
@@ -218,7 +241,7 @@ def test_oldest_engine_goes_first(monkeypatch):
 SRC = Path(toricchi.__file__).resolve().parent
 # the only lru_caches: per-divisor or per-order memos, and todd_class,
 # whose cache_info() perfbench/run.py reads
-LRU_CACHED = {"todd.todd_univariate", "todd.todd_class", "chow._exp_cached"}
+LRU_CACHED = {"todd.todd_univariate", "todd.todd_class"}
 
 
 def test_per_fan_values_live_only_in_the_engine():

@@ -16,8 +16,10 @@ from toricchi.catalog import (
     projective_space,
 )
 from toricchi.chow import fundamental_class, multiply_ray_divisor
+from toricchi.cli import main
 from toricchi.divisor import TorusDivisor, clear_ray_coefficient, ray_divisor, restrict_divisor
 from toricchi.errors import (
+    DomainError,
     FanFormatError,
     FanValidationError,
     NonSmoothConeError,
@@ -26,6 +28,7 @@ from toricchi.errors import (
     ToricError,
 )
 from toricchi.fan import (
+    CheckReport,
     Fan,
     _check_fan_condition,
     enumerate_faces,
@@ -43,7 +46,8 @@ from toricchi.oracle import (
     cohomology_scan_detail,
     count_lattice_points,
 )
-from toricchi.todd import chi_hrr, verify_induction_step, verify_ishida
+from toricchi.report import run_verification
+from toricchi.todd import chi_hrr, todd_univariate, verify_induction_step, verify_ishida
 
 P2_TEXT = """\
 # projective plane
@@ -366,6 +370,34 @@ QUADRANT = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
 # complete, but cones (0, 1) and (0, 3) have determinants 2 and −2
 KITE = Fan(2, ((1, -2), (1, 0), (-1, 1), (-1, 0)), ((0, 1), (0, 3), (1, 2), (2, 3)))
 
+_DET_2 = ("maximal cone 0 (0, 1) has determinant 2, not ±1", (0, 1))
+_OPEN_WALL_0 = ("wall (0,) lies in 1 maximal cone(s), expected 2", (0,))
+
+
+@pytest.mark.parametrize(
+    "fan, smooth, complete",
+    [
+        (QUADRANT, None, _OPEN_WALL_0),
+        (KITE, _DET_2, None),
+        (Fan(2, ((1, 0), (1, 2)), ((0, 1),)), _DET_2, _OPEN_WALL_0),
+        (Fan(1, ((1,),), ((0,),)), None, ("wall () lies in 1 maximal cone(s), expected 2", ())),
+        (Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (2, 3))), None, _OPEN_WALL_0),
+    ],
+    ids=["quadrant", "kite", "cusp-cone", "ray", "opposite-quadrants"],
+)
+def test_failed_verdicts_keep_reasons_and_witnesses(tmp_path, capsys, fan, smooth, complete):
+    # these fans construct; each failed verdict names its witness, and
+    # `toric check` reports it and exits 1
+    for got, want in ((is_smooth(fan), smooth), (is_complete(fan), complete)):
+        assert got == (CheckReport(True) if want is None else CheckReport(False, *want))
+    path = tmp_path / "fan.fan"
+    path.write_text(format_fan(fan), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    for label, want in (("smooth", smooth), ("complete", complete)):
+        assert f"{label}: {'yes' if want is None else 'no (' + want[0] + ')'}\n" in out
+
+
 ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
@@ -433,6 +465,25 @@ _OUT_OF_RANGE = {
 def test_out_of_range_index_is_a_toric_error(call, index):
     with pytest.raises(ToricError, match="out of range"):
         _OUT_OF_RANGE[call](index)
+
+
+_BAD_INTEGER = {
+    "chi_recursive-ray_order": (ToricError, lambda: chi_recursive(_P2, _D, (0.0, 1.0, 2.0))),
+    "star_fan-tau": (ToricError, lambda: star_fan(_P2, (0, "a"))),
+    "todd_univariate-order": (ToricError, lambda: todd_univariate(2.0)),
+    "run_verification-trials": (ToricError, lambda: run_verification(_P2, 2.5)),
+    "run_verification-negative": (DomainError, lambda: run_verification(_P2, -1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BAD_INTEGER))
+def test_integer_arguments_are_checked(call):
+    # a non-integer (or a negative count) is refused with a typed error,
+    # never a bare TypeError or a silent answer
+    error, thunk = _BAD_INTEGER[call]
+    todd_univariate(2)  # an int entry must not answer for 2.0
+    with pytest.raises(error):
+        thunk()
 
 
 def test_enumerate_faces_p1xp1():
@@ -567,10 +618,12 @@ def test_fan_is_hashable_and_usable_as_cache_key():
 
 
 def test_fan_pickles_and_deep_copies():
-    fan = build_catalog("f1")
-    for copy in (pickle.loads(pickle.dumps(fan)), deepcopy(fan)):
-        assert copy == fan and hash(copy) == hash(fan)
-        assert dict(copy.dual_bases) == dict(fan.dual_bases)
+    # the copies rebuild from the fields and decide the same verdicts
+    for fan in (build_catalog("f1"), QUADRANT, KITE):
+        for copy in (pickle.loads(pickle.dumps(fan)), deepcopy(fan)):
+            assert copy == fan and hash(copy) == hash(fan)
+            assert dict(copy.dual_bases) == dict(fan.dual_bases)
+            assert (copy.smooth, copy.complete) == (fan.smooth, fan.complete)
 
 
 def test_cones_with_all_rays_of_mixed_order():

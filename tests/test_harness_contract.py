@@ -8,14 +8,20 @@ the tracer wraps some names where another toricchi module imported them
 test takes too long for the quick suite, so this reads the table and those
 names from the harness sources and checks only that every one still
 exists: deleting one would break `run.py --trace 1` or the harness test
-without any other test noticing.
+without any other test noticing. One test also installs the real tracer
+around a small verification, so a call path the tracer cannot see shows
+up here.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import toricchi
+from toricchi.catalog import build_catalog
+from toricchi.report import run_verification
 from toricchi.todd import todd_class
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -74,3 +80,33 @@ def test_reimported_names_the_harness_test_checks_exist():
         if not callable(getattr(importlib.import_module(mod), name, None))
     ]
     assert missing == []
+
+
+def _bindings() -> dict:
+    """Every toricchi module global and Fan.__post_init__, by identity."""
+    out = {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "toricchi" or name.startswith("toricchi.")
+        for attr, value in vars(module).items()
+    }
+    out[("Fan", "__post_init__")] = toricchi.Fan.__dict__["__post_init__"]
+    return out
+
+
+def test_tracer_sees_every_chi_route():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = _bindings()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        run_verification(build_catalog("p2"), 2, seed=3)
+    finally:
+        tr.remove()
+    for route in ("todd.chi_hrr", "oracle.chi_recursive", "oracle.chi_graded_cohomology"):
+        assert tr.calls(route) > 0, route
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
