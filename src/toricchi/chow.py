@@ -49,6 +49,7 @@ from typing import NamedTuple
 # reach it under this module's name.
 from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing  # noqa: F401
 from .engine import engine_for
+from .errors import DomainError, ToricError, exact_ints
 from .fan import Fan, ray_index
 from .intlinalg import dot
 
@@ -260,6 +261,9 @@ def exp_divisor(d: TorusDivisor, order: int) -> list[Term]:
 
     Deterministic order: by monomial length, then lexicographically.
     """
+    (order,) = exact_ints((order,), ToricError, "series order")
+    if order < 0:
+        raise DomainError(f"series order must be nonnegative, got {order}")
     # the sorted monomial Π D_i^{α_i} has coefficient Π a_i^{α_i} / α_i!,
     # and α_i! is the product of the run counts of i
     support = [i for i, a in enumerate(d.coeffs) if a]

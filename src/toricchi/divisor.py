@@ -2,24 +2,21 @@
 
 A character m in the dual lattice M has div(χ^m) with coefficient ⟨m, u_ρ⟩
 at each ray; linear equivalence is shift by such a principal divisor.
-Restriction to the orbit closure V(ρ) first clears the coefficient at ρ
-(replacing D by an equivalent divisor trivial along ρ) and then transports
-the coefficients of the rays adjacent to ρ through the star-fan ray
-correspondence. Coefficients on rays not adjacent to ρ restrict to zero and
-are discarded.
+Restriction to the orbit closure V(ρ) clears the coefficient at ρ with
+div(χ^{a_ρ·m}), m the dual basis vector of u_ρ in the first maximal cone
+containing ρ: the coefficient at g becomes a_g − a_ρ·p_g for the clearing
+row p_g = ⟨m, u_g⟩ the fan's engine keeps. The rays adjacent to ρ carry
+theirs to their star-fan images; the others restrict to zero.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from .engine import engine_for
-from .errors import DivisorError, exact_ints
+from .engine import engine_for, per_fan
+from .errors import DivisorError, ToricError, exact_ints
 from .fan import Fan, ray_index, star_fan
 from .intlinalg import dot, solve_integer
-
-log = logging.getLogger(__name__)
 
 Character = tuple[int, ...]
 
@@ -97,6 +94,8 @@ def dual_basis_vector(fan: Fan, sigma, rho: int) -> tuple[int, ...]:
     (NonSmoothConeError if sigma is not unimodular).
     """
     sigma = tuple(sigma)
+    if rho not in sigma:
+        raise ToricError(f"ray {rho!r} is not in cone {sigma}")
     return fan.dual_basis(sigma)[sigma.index(rho)]
 
 
@@ -109,38 +108,37 @@ def first_cone_containing(fan: Fan, rays) -> tuple[int, ...]:
     return best
 
 
-def clear_ray_coefficient(d: TorusDivisor, rho: int) -> tuple[Character, TorusDivisor]:
-    """(m, D − div(χ^m)) with the result's coefficient 0 at rho.
+@per_fan
+def _clearing_row(fan: Fan, rho: int):
+    """(m, p): m the dual basis vector of u_ρ in the lexicographically first
+    maximal cone containing rho, and p = div(χ^m), so p_g = ⟨m, u_g⟩."""
+    sigma = first_cone_containing(fan, (rho,))
+    m = fan.dual_basis(sigma)[sigma.index(rho)]
+    return m, principal_divisor(fan, m).coeffs
 
-    Deterministic: m = a_ρ · (dual basis vector to u_ρ inside the
-    lexicographically first maximal cone containing rho).
-    """
+
+def clear_ray_coefficient(d: TorusDivisor, rho: int) -> tuple[Character, TorusDivisor]:
+    """(m, D − div(χ^m)) with the result's coefficient 0 at rho, for the
+    deterministic m = a_ρ · (dual basis vector to u_ρ inside the
+    lexicographically first maximal cone containing rho)."""
     rho = ray_index(d.fan, rho)
     a = d.coeffs[rho]
     if a == 0:
         return (0,) * d.fan.dim, d
-    sigma = first_cone_containing(d.fan, (rho,))
-    m = tuple(a * x for x in dual_basis_vector(d.fan, sigma, rho))
-    return m, d - principal_divisor(d.fan, m)
+    m, row = _clearing_row(d.fan, rho)
+    cleared = tuple(c - a * p for c, p in zip(d.coeffs, row))
+    return tuple(a * x for x in m), TorusDivisor(d.fan, cleared)
 
 
 def restrict_divisor(d: TorusDivisor, rho: int) -> TorusDivisor:
-    """Restriction of O(D) to V(ρ), as a divisor on star_fan(rho).
-
-    Clears the coefficient at rho, then carries the coefficient of each ray
-    adjacent to rho over to its star-fan image; all other coefficients
-    restrict to zero.
-    """
-    _, cleared = clear_ray_coefficient(d, rho)
+    """Restriction of O(D) to V(ρ), as a divisor on star_fan(rho): the
+    cleared coefficient a_g − a_ρ·p_g of each ray g adjacent to rho, in
+    star-fan ray order (the order of ray_map's keys)."""
+    rho = ray_index(d.fan, rho)
+    a = d.coeffs[rho]
+    _, row = _clearing_row(d.fan, rho)
     star, ray_map = star_fan(d.fan, (rho,))
-    out = [0] * len(star.rays)
-    for g, j in ray_map.items():
-        out[j] = cleared.coeffs[g]
-    if log.isEnabledFor(logging.DEBUG):
-        for g, a in enumerate(cleared.coeffs):
-            if a and g != rho and g not in ray_map:
-                log.debug("restrict_divisor: discarding %d·D_%d (not adjacent to %d)", a, g, rho)
-    return TorusDivisor(star, tuple(out))
+    return TorusDivisor(star, tuple(d.coeffs[g] - a * row[g] for g in ray_map))
 
 
 def is_linearly_equivalent(d1: TorusDivisor, d2: TorusDivisor):

@@ -13,10 +13,10 @@ fans share one. It owns
                 so a multiplication in the Chow ring does no linear algebra
                 (m is read from Fan.dual_basis);
   memo          the values of every function decorated with per_fan: the
-                star fans (fan.py), the principal-lattice basis, the face
-                contribution table and the arrangement adjugates (oracle.py),
-                and the monomial walk with its Td and C_ρ degree tables
-                (todd.py).
+                star fans (fan.py), the clearing rows (divisor.py), the
+                principal-lattice basis, the face contribution table and the
+                arrangement adjugates (oracle.py), and the monomial walk
+                with its Td and C_ρ degree tables (todd.py).
 
 The dual bases and the smooth and complete verdicts stay on the Fan.
 Every entry here is filled on first use. The cache keeps at most _MAX_ENGINES

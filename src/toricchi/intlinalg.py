@@ -40,11 +40,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[dot(row, col) for col in cols] for row in a]
-
-
 def det_int(a: Matrix) -> int:
     """Determinant of a square integer matrix, fraction-free (Bareiss)."""
     n = len(a)

@@ -2,17 +2,17 @@
 
 chi_recursive runs the inductive difference identity as an algorithm:
 χ(O(D)) − χ(O(D−D_ρ)) equals χ of the restriction on the star fan of ρ.
-Divisors are first replaced by a canonical coset representative modulo the
-lattice of principal divisors (Hermite reduction), which doubles as the
-memoization key and as the termination measure: stepping the first nonzero
-coefficient toward zero keeps the representative canonical and strictly
-drops its L1 norm. Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and
-the trivial class (χ = 1, the Todd-genus fact taken as input). As in the
-paper's induction on dimension, only the restriction recurses: the chain of
-steps within one fan is a loop, so the depth is at most the dimension and
-the interpreter's recursion limit is never touched. The node budget
-(TORIC_RECURSION_BUDGET) is the one bound on the work. The shared memo is
-emptied when a call starts with more than _CHI_MEMO_CAP entries in it.
+Divisors are replaced by a canonical coset representative modulo the
+lattice of principal divisors (Hermite reduction), the memoization key and
+the termination measure. Stepping the first nonzero coefficient toward zero
+keeps it canonical with no reduction (see _chi) and drops its L1 norm.
+Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and the trivial class
+(χ = 1, the Todd-genus fact taken as input). As in the paper's induction on
+dimension, only the restriction recurses: the chain of steps within one
+fan is a loop, so the depth is at most the dimension and the interpreter's
+recursion limit is never touched. The node budget (TORIC_RECURSION_BUDGET)
+is the one bound on the work. The shared memo is emptied when a call
+starts with more than _CHI_MEMO_CAP entries in it.
 
 chi_graded_cohomology sums, over lattice characters m, the alternating sum
 of graded cohomology via face counting: the contribution of m is
@@ -146,7 +146,9 @@ def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
         stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
         restricted = restrict_divisor(TorusDivisor(fan, rep if sign > 0 else stepped), rho)
         links.append((key, sign * _chi(restricted.fan, restricted.coeffs, None, memo, budget)))
-        rep = canonical_representative(fan, stepped)
+        # canonical already: a pivot coordinate stepped toward 0 stays in
+        # [0, pivot), and any other step leaves the pivot coordinates alone
+        rep = stepped
     for key, delta in reversed(links):
         total += delta
         memo[key] = total
@@ -318,7 +320,7 @@ CHI_METHODS = {
 def chi_by_method(fan: Fan, d: TorusDivisor, method: str) -> int:
     try:
         name = CHI_METHODS[method]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ToricError(f"unknown chi method {method!r}") from None
     return globals()[name](fan, d)
 

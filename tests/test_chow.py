@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from toricchi.chow import (
     multiply_ray_divisor,
 )
 from toricchi.divisor import TorusDivisor, first_cone_containing
+from toricchi.errors import DomainError, ToricError
 
 P2 = projective_space(2)
 
@@ -109,6 +111,14 @@ def test_exp_divisor_quadratic_coefficients():
     assert terms[(0, 1)] == 1
     assert terms[(1, 1)] == Fraction(1, 2)
     assert (2,) not in terms
+
+
+def test_exp_divisor_refuses_a_bad_order():
+    d = TorusDivisor(P2, (1, 0, 0))
+    with pytest.raises(DomainError, match="nonnegative"):
+        exp_divisor(d, -1)
+    with pytest.raises(ToricError, match="expected integers"):
+        exp_divisor(d, 2.5)
 
 
 def test_exp_divisor_term_order_is_canonical():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toricchi import oracle, todd
-from toricchi.catalog import build_catalog, hirzebruch, projective_space
+from toricchi.catalog import build_catalog, catalog_names, hirzebruch, product_p1, projective_space
 from toricchi.divisor import (
     TorusDivisor,
     canonical_divisor,
@@ -18,7 +19,8 @@ from toricchi.divisor import (
     restrict_divisor,
     zero_divisor,
 )
-from toricchi.errors import DivisorError
+from toricchi.errors import DivisorError, ToricError
+from toricchi.fan import star_fan
 from toricchi.intlinalg import dot
 
 P2 = projective_space(2)
@@ -87,6 +89,8 @@ def test_dual_basis_vector():
     m2 = dual_basis_vector(P2, (1, 2), 2)
     assert dot(m2, P2.rays[2]) == 1
     assert dot(m2, P2.rays[1]) == 0
+    with pytest.raises(ToricError, match="not in cone"):
+        dual_basis_vector(P2, (0, 1), 2)
 
 
 def test_first_cone_containing():
@@ -218,3 +222,45 @@ def test_foreign_divisor_is_rewrapped_or_refused(entry):
     twin = projective_space(2)
     assert twin is not P2
     assert call(P2, TorusDivisor(twin, (2, -1, 0))) == call(P2, TorusDivisor(P2, (2, -1, 0)))
+
+
+def _principal_clear(d, rho):
+    """Clearing by subtracting div(χ^m) built over all rays: the oracle for
+    clear_ray_coefficient's clearing row."""
+    a = d.coeffs[rho]
+    if a == 0:
+        return (0,) * d.fan.dim, d
+    sigma = first_cone_containing(d.fan, (rho,))
+    m = tuple(a * x for x in dual_basis_vector(d.fan, sigma, rho))
+    return m, d - principal_divisor(d.fan, m)
+
+
+def _principal_restrict(d, rho):
+    """Restriction through _principal_clear and the star-fan ray map."""
+    _, cleared = _principal_clear(d, rho)
+    star, ray_map = star_fan(d.fan, (rho,))
+    out = [0] * len(star.rays)
+    for g, j in ray_map.items():
+        out[j] = cleared.coeffs[g]
+    return TorusDivisor(star, tuple(out))
+
+
+def _oracle_fans():
+    tops = [build_catalog(name) for name in catalog_names()] + [product_p1(4)]
+    stars = [star_fan(f, (rho,)).fan for f in tops for rho in range(len(f.rays))]
+    return tops + [f for f in stars if f.dim > 0]
+
+
+def test_clearing_row_matches_principal_divisor_oracle():
+    rng = random.Random(11)
+    big = 10**15
+    for fan in _oracle_fans():
+        r = len(fan.rays)
+        for rho in range(r):
+            draws = [tuple(rng.randint(-20, 20) for _ in range(r)) for _ in range(6)]
+            draws += [tuple(rng.choice((-big, big)) for _ in range(r)) for _ in range(2)]
+            draws.append(tuple(0 if g == rho else rng.randint(-20, 20) for g in range(r)))
+            for coeffs in draws:
+                d = TorusDivisor(fan, coeffs)
+                assert clear_ray_coefficient(d, rho) == _principal_clear(d, rho)
+                assert restrict_divisor(d, rho) == _principal_restrict(d, rho)

@@ -12,7 +12,6 @@ from toricchi.intlinalg import (
     inv_unimodular,
     kernel_vector,
     lattice_basis_hnf,
-    mat_mul,
     primitive_vector,
     reduce_mod_lattice,
     smith_diagonal,
@@ -23,6 +22,10 @@ from toricchi.intlinalg import (
 )
 
 small_entry = st.integers(min_value=-9, max_value=9)
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def square_matrix(n):

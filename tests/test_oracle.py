@@ -495,8 +495,28 @@ def test_chi_by_method_dispatch():
     d = TorusDivisor(P2, (1, 1, 1))
     vals = {m: chi_by_method(P2, d, m) for m in ("hrr", "recursive", "cohomology")}
     assert len(set(vals.values())) == 1
-    with pytest.raises(ToricError, match="unknown chi method"):
-        chi_by_method(P2, d, "magic")
+    for bad in ("magic", ["hrr"]):
+        with pytest.raises(ToricError, match="unknown chi method"):
+            chi_by_method(P2, d, bad)
+
+
+CHAIN_FANS = [build_catalog(name) for name in catalog_names()] + [product_p1(4)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_link_of_a_descent_chain_is_canonical(data):
+    # _chi reduces once per chain: each stepped link must already be canonical
+    fan = data.draw(st.sampled_from(CHAIN_FANS))
+    coeffs = data.draw(st.tuples(*[st.integers(-6, 6)] * len(fan.rays)))
+    order = data.draw(st.permutations(range(len(fan.rays))))
+    rep = canonical_representative(fan, coeffs)
+    while any(rep):
+        rho = next(i for i in order if rep[i])
+        sign = 1 if rep[rho] > 0 else -1
+        stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
+        assert canonical_representative(fan, stepped) == stepped
+        rep = stepped
 
 
 @given(st.tuples(*[st.integers(-4, 4)] * 4))
