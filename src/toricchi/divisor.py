@@ -2,21 +2,21 @@
 
 A character m in the dual lattice M has div(χ^m) with coefficient ⟨m, u_ρ⟩
 at each ray; linear equivalence is shift by such a principal divisor.
-Restriction to the orbit closure V(ρ) clears the coefficient at ρ with
-div(χ^{a_ρ·m}), m the dual basis vector of u_ρ in the first maximal cone
-containing ρ: the coefficient at g becomes a_g − a_ρ·p_g for the clearing
-row p_g = ⟨m, u_g⟩ the fan's engine keeps. The rays adjacent to ρ carry
-theirs to their star-fan images; the others restrict to zero.
+zero_on is the one normal form: it subtracts div(χ^m), m a sum over a
+maximal cone's dual basis read from the engine's move rows. Over all of
+σ₀ = max_cones[0] it gives a class its representative; over {ρ} in the
+first maximal cone containing ρ it clears ρ for restriction to V(ρ), where
+the rays adjacent to ρ carry theirs to their star-fan images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import engine_for, per_fan
+from .engine import engine_for
 from .errors import DivisorError, ToricError, exact_ints
 from .fan import Fan, ray_index, star_fan
-from .intlinalg import dot, solve_integer
+from .intlinalg import dot, inv_rational
 
 Character = tuple[int, ...]
 
@@ -108,13 +108,19 @@ def first_cone_containing(fan: Fan, rays) -> tuple[int, ...]:
     return best
 
 
-@per_fan
-def _clearing_row(fan: Fan, rho: int):
-    """(m, p): m the dual basis vector of u_ρ in the lexicographically first
-    maximal cone containing rho, and p = div(χ^m), so p_g = ⟨m, u_g⟩."""
-    sigma = first_cone_containing(fan, (rho,))
-    m = fan.dual_basis(sigma)[sigma.index(rho)]
-    return m, principal_divisor(fan, m).coeffs
+def zero_on(fan: Fan, sigma, rays, coeffs) -> tuple[int, ...]:
+    """coeffs − div(χ^m), m = Σ c_i m^σ_i over i in rays ⊆ sigma: zero on
+    rays, sigma's other coordinates unchanged; NonSmoothConeError unless
+    sigma is unimodular."""
+    engine = engine_for(fan)
+    out = list(coeffs)
+    for i in rays:
+        c = coeffs[i]
+        if c:
+            out[i] = 0
+            for g, p in engine.move_row(sigma, i):
+                out[g] -= c * p
+    return tuple(out)
 
 
 def clear_ray_coefficient(d: TorusDivisor, rho: int) -> tuple[Character, TorusDivisor]:
@@ -125,30 +131,34 @@ def clear_ray_coefficient(d: TorusDivisor, rho: int) -> tuple[Character, TorusDi
     a = d.coeffs[rho]
     if a == 0:
         return (0,) * d.fan.dim, d
-    m, row = _clearing_row(d.fan, rho)
-    cleared = tuple(c - a * p for c, p in zip(d.coeffs, row))
-    return tuple(a * x for x in m), TorusDivisor(d.fan, cleared)
+    sigma = engine_for(d.fan).first_cone[(rho,)]
+    m = d.fan.dual_basis(sigma)[sigma.index(rho)]
+    return tuple(a * x for x in m), TorusDivisor(d.fan, zero_on(d.fan, sigma, (rho,), d.coeffs))
 
 
 def restrict_divisor(d: TorusDivisor, rho: int) -> TorusDivisor:
-    """Restriction of O(D) to V(ρ), as a divisor on star_fan(rho): the
-    cleared coefficient a_g − a_ρ·p_g of each ray g adjacent to rho, in
+    """Restriction of O(D) to V(ρ), as a divisor on star_fan(rho): D cleared
+    at rho as in clear_ray_coefficient, read on the rays adjacent to rho in
     star-fan ray order (the order of ray_map's keys)."""
     rho = ray_index(d.fan, rho)
-    a = d.coeffs[rho]
-    _, row = _clearing_row(d.fan, rho)
+    cleared = zero_on(d.fan, engine_for(d.fan).first_cone[(rho,)], (rho,), d.coeffs)
     star, ray_map = star_fan(d.fan, (rho,))
-    return TorusDivisor(star, tuple(d.coeffs[g] - a * row[g] for g in ray_map))
+    return TorusDivisor(star, tuple(cleared[g] for g in ray_map))
 
 
 def is_linearly_equivalent(d1: TorusDivisor, d2: TorusDivisor):
     """Character m with D1 − D2 = div(χ^m), or None.
 
-    Solves the integer system ⟨m, u_ρ⟩ = (D1−D2)_ρ over all rays.
+    m solves ⟨m, u_i⟩ = (D1−D2)_i on the rays of σ₀ = max_cones[0], a
+    rational basis on any fan; it is the answer if integral and right on
+    every ray.
     """
     d1._same_fan(d2)
+    fan, sigma = d1.fan, d1.fan.max_cones[0]
     diff = [a - b for a, b in zip(d1.coeffs, d2.coeffs)]
-    if d1.fan.dim == 0:
-        return () if not any(diff) else None
-    a = [list(u) for u in d1.fan.rays]
-    return solve_integer(a, diff)
+    inverse = inv_rational(fan.ray_matrix(sigma))
+    m = [sum(x * diff[i] for x, i in zip(row, sigma)) for row in inverse]
+    if any(x.denominator != 1 for x in m):
+        return None
+    m = tuple(int(x) for x in m)
+    return m if all(dot(m, u) == c for u, c in zip(fan.rays, diff)) else None

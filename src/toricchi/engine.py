@@ -9,12 +9,11 @@ fans share one. It owns
                 are the face set, so "do these rays span a cone" is one
                 dictionary lookup;
   move_row      per (σ, ρ), the rays γ ∉ σ with ⟨m, u_γ⟩ ≠ 0 for the dual
-                basis vector m of u_ρ in σ, which rewrite D_ρ near V(τ ⊆ σ),
-                so a multiplication in the Chow ring does no linear algebra
-                (m is read from Fan.dual_basis);
+                basis vector m of u_ρ in σ (read from Fan.dual_basis): the
+                Chow ring's move case, restriction and the class normal
+                form (divisor.zero_on) read them and do no linear algebra;
   memo          the values of every function decorated with per_fan: the
-                star fans (fan.py), the clearing rows (divisor.py), the
-                principal-lattice basis, the face contribution table and the
+                star fans (fan.py), the face contribution table and the
                 arrangement adjugates (oracle.py), and the monomial walk
                 with its Td and C_ρ degree tables (todd.py).
 

@@ -3,10 +3,11 @@
 Everything here works on plain lists of Python ints (rows) or Fractions;
 there is deliberately no floating point and no numpy. Matrices in this
 package are tiny (at most ~a dozen rows, lattice rank <= ~4), so the
-classical textbook algorithms are the right tool: extended-gcd row/column
-reduction for Hermite and Smith-style normal forms, Bareiss for
+classical textbook algorithms are the right tool: Bareiss for
 determinants, Fraction-pivoted Gaussian elimination where a rational
-answer is wanted.
+answer is wanted. The Hermite and Smith forms and the solve_* functions
+have no caller in the package; the tests keep them as reference
+implementations.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 chi_recursive runs the inductive difference identity as an algorithm:
 χ(O(D)) − χ(O(D−D_ρ)) equals χ of the restriction on the star fan of ρ.
-Divisors are replaced by a canonical coset representative modulo the
-lattice of principal divisors (Hermite reduction), the memoization key and
-the termination measure. Stepping the first nonzero coefficient toward zero
+Divisors are replaced by the class's representative that is zero on
+σ₀ = max_cones[0] (divisor.zero_on), the memoization key and the
+termination measure. Stepping the first nonzero coefficient toward zero
 keeps it canonical with no reduction (see _chi) and drops its L1 norm.
 Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and the trivial class
 (χ = 1, the Todd-genus fact taken as input). As in the paper's induction on
@@ -54,32 +54,23 @@ from collections import defaultdict
 from itertools import combinations
 
 from . import kernel
-from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict_divisor
+from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict_divisor, zero_on
 from .engine import per_fan
 from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError, exact_ints
 from .fan import Fan, enumerate_faces, require_complete
-from .intlinalg import (
-    det_int,
-    dot,
-    inv_rational,
-    lattice_basis_hnf,
-    reduce_mod_lattice,
-)
+from .intlinalg import det_int, dot, inv_rational
 from .todd import chi_hrr  # noqa: F401  (CHI_METHODS names it)
 
 DEFAULT_RECURSION_BUDGET = 1_000_000
 
 
-@per_fan
-def _principal_lattice_basis(fan: Fan):
-    rows = [[u[i] for u in fan.rays] for i in range(fan.dim)]
-    return tuple(tuple(r) for r in lattice_basis_hnf(rows, len(fan.rays)))
-
-
 def canonical_representative(fan: Fan, coeffs) -> tuple[int, ...]:
-    """Unique representative of the divisor class, by Hermite floor-reduction
-    against the lattice of principal divisors."""
-    return reduce_mod_lattice(tuple(coeffs), [list(r) for r in _principal_lattice_basis(fan)])
+    """The representative of the divisor class that is zero on the rays of
+    σ₀ = max_cones[0]; unique, as only div(χ^0) vanishes on σ₀. DivisorError
+    unless coeffs are integers, one per ray; NonSmoothConeError unless σ₀
+    is unimodular."""
+    sigma = fan.max_cones[0]
+    return zero_on(fan, sigma, sigma, TorusDivisor(fan, coeffs).coeffs)
 
 
 _chi_memo: dict = {}
@@ -146,8 +137,8 @@ def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
         stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
         restricted = restrict_divisor(TorusDivisor(fan, rep if sign > 0 else stepped), rho)
         links.append((key, sign * _chi(restricted.fan, restricted.coeffs, None, memo, budget)))
-        # canonical already: a pivot coordinate stepped toward 0 stays in
-        # [0, pivot), and any other step leaves the pivot coordinates alone
+        # canonical already: rep is zero on σ₀, so rho is off σ₀ and the
+        # stepped tuple is still zero on σ₀
         rep = stepped
     for key, delta in reversed(links):
         total += delta

@@ -20,8 +20,8 @@ from toricchi.divisor import (
     zero_divisor,
 )
 from toricchi.errors import DivisorError, ToricError
-from toricchi.fan import star_fan
-from toricchi.intlinalg import dot
+from toricchi.fan import Fan, star_fan
+from toricchi.intlinalg import dot, solve_integer, solve_rational
 
 P2 = projective_space(2)
 P1 = projective_space(1)
@@ -179,6 +179,55 @@ def test_is_linearly_equivalent_examples():
 def test_linear_equivalence_recovers_character(m):
     d = principal_divisor(P2, m)
     assert is_linearly_equivalent(d, zero_divisor(P2)) == m
+
+
+# fans off the smooth complete domain, where σ₀ may not be unimodular
+_EQUIVALENCE_FANS = {
+    # one cone of determinant 2 in A²
+    "a2_det2": Fan(2, ((1, 0), (1, 2)), ((0, 1),)),
+    # non-complete: a det-2 cone and a det-3 cone, one ray off σ₀
+    "a2_two_cones": Fan(2, ((1, 0), (1, 2), (-1, 1)), ((0, 1), (1, 2))),
+    # P(1,1,2), complete; σ₀ is unimodular in one ray order, of det −2 in the other
+    "p112": Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (0, 2), (1, 2))),
+    "p112_det2_first": Fan(2, ((1, 0), (-1, -2), (0, 1)), ((0, 1), (0, 2), (1, 2))),
+    "point": Fan(0, (), ((),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVALENCE_FANS))
+def test_linear_equivalence_matches_integer_solve(name):
+    # solve_integer over all rays is the oracle; on a non-unimodular σ₀ some
+    # answers are None because the m solved on σ₀'s rays is not integral
+    fan = _EQUIVALENCE_FANS[name]
+    r = len(fan.rays)
+    rows = [list(u) for u in fan.rays]
+    sigma = fan.max_cones[0]
+    rng = random.Random(name)
+    diffs = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(40)]
+    diffs += [principal_divisor(fan, [rng.randint(-3, 3) for _ in range(fan.dim)]).coeffs
+              for _ in range(10)]
+    fractional = 0
+    for diff in diffs:
+        d = TorusDivisor(fan, diff)
+        m = is_linearly_equivalent(d, zero_divisor(fan))
+        if r == 0:
+            assert m == ()
+            continue
+        assert m == solve_integer(rows, diff)
+        if m is not None:
+            assert principal_divisor(fan, m) == d
+        on_sigma = solve_rational([rows[i] for i in sigma], [diff[i] for i in sigma])
+        if any(x.denominator != 1 for x in on_sigma):
+            assert m is None
+            fractional += 1
+    assert bool(fractional) == (name in {"a2_det2", "a2_two_cones", "p112_det2_first"})
+
+
+def test_linear_equivalence_refuses_a_half_character():
+    fan = _EQUIVALENCE_FANS["a2_det2"]
+    # ⟨m, (1, 0)⟩ = 1 and ⟨m, (1, 2)⟩ = 0 force m = (1, −1/2)
+    assert is_linearly_equivalent(ray_divisor(fan, 0), zero_divisor(fan)) is None
+    assert is_linearly_equivalent(TorusDivisor(fan, (1, 3)), zero_divisor(fan)) == (1, 1)
 
 
 @given(st.tuples(coeff, coeff, coeff, coeff), st.tuples(coeff, coeff))

@@ -19,6 +19,7 @@ from toricchi.chow import fundamental_class, multiply_ray_divisor
 from toricchi.cli import main
 from toricchi.divisor import TorusDivisor, clear_ray_coefficient, ray_divisor, restrict_divisor
 from toricchi.errors import (
+    DivisorError,
     DomainError,
     FanFormatError,
     FanValidationError,
@@ -41,6 +42,7 @@ from toricchi.fan import (
 )
 from toricchi.intlinalg import det_int, inv_rational, kernel_vector, smith_diagonal, solve_rational
 from toricchi.oracle import (
+    canonical_representative,
     chi_graded_cohomology,
     chi_recursive,
     cohomology_scan_detail,
@@ -468,6 +470,9 @@ def test_out_of_range_index_is_a_toric_error(call, index):
 
 
 _BAD_INTEGER = {
+    "canonical_representative-coeffs": (
+        DivisorError, lambda: canonical_representative(_P2, (2.5, 0, 0))
+    ),
     "chi_recursive-ray_order": (ToricError, lambda: chi_recursive(_P2, _D, (0.0, 1.0, 2.0))),
     "star_fan-tau": (ToricError, lambda: star_fan(_P2, (0, "a"))),
     "todd_univariate-order": (ToricError, lambda: todd_univariate(2.0)),

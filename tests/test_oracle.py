@@ -19,9 +19,16 @@ from toricchi.catalog import (
     projective_space,
 )
 from toricchi.divisor import TorusDivisor, canonical_divisor, principal_divisor, zero_divisor
-from toricchi.errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
+from toricchi.errors import (
+    DivisorError,
+    DomainError,
+    NonSmoothConeError,
+    RecursionBudgetExceeded,
+    ScanRegionError,
+    ToricError,
+)
 from toricchi.fan import Fan
-from toricchi.intlinalg import det_int, solve_rational
+from toricchi.intlinalg import det_int, lattice_basis_hnf, reduce_mod_lattice, solve_rational
 from toricchi.oracle import (
     canonical_representative,
     cartier_data,
@@ -74,6 +81,64 @@ def test_canonical_representative_idempotent():
         coeffs = tuple(rng.randint(-5, 5) for _ in fan.rays)
         rep = canonical_representative(fan, coeffs)
         assert canonical_representative(fan, rep) == rep
+
+
+def test_canonical_representative_refuses_bad_input():
+    for coeffs in ((1, 2), (1, 2, 3, 4), ()):
+        with pytest.raises(DivisorError, match="coefficients for 3 rays"):
+            canonical_representative(P2, coeffs)
+    # σ₀ = (0, 1) has determinant 2, so no dual basis reads the class off it
+    with pytest.raises(NonSmoothConeError):
+        canonical_representative(Fan(2, ((1, 0), (1, 2)), ((0, 1),)), (1, 0))
+
+
+def _hermite_representative(fan, coeffs):
+    """The Hermite floor-reduction against the principal lattice: the
+    normal form the recursion keyed on before the σ₀ one, kept as the
+    oracle for class equality."""
+    rows = [[u[i] for u in fan.rays] for i in range(fan.dim)]
+    return reduce_mod_lattice(tuple(coeffs), lattice_basis_hnf(rows, len(fan.rays)))
+
+
+_NORMAL_FORM_FANS = {name: (lambda name=name: build_catalog(name)) for name in catalog_names()}
+_NORMAL_FORM_FANS["p1^4"] = lambda: product_p1(4)
+_NORMAL_FORM_FANS["surface17"] = lambda: _many_ray_surface()
+
+
+@pytest.mark.parametrize("name", sorted(_NORMAL_FORM_FANS))
+def test_canonical_representative_agrees_with_hermite_on_classes(name):
+    # rep(c1) == rep(c2) exactly when c1 − c2 is principal, which the
+    # Hermite reduction decides; and the rep is zero on σ₀ and idempotent
+    fan = _NORMAL_FORM_FANS[name]()
+    sigma = fan.max_cones[0]
+    r = len(fan.rays)
+    rng = random.Random(name)
+    draws = [tuple(rng.randint(-20, 20) for _ in range(r)) for _ in range(30)]
+    pairs = list(zip(draws, draws[1:]))
+    for c in draws:
+        m = tuple(rng.randint(-20, 20) for _ in range(fan.dim))
+        pairs.append((c, (TorusDivisor(fan, c) + principal_divisor(fan, m)).coeffs))
+        rho = rng.randrange(r)
+        pairs.append((c, tuple(x + (g == rho) for g, x in enumerate(c))))
+    outcomes = set()
+    for c1, c2 in pairs:
+        rep1 = canonical_representative(fan, c1)
+        assert all(rep1[i] == 0 for i in sigma)
+        assert canonical_representative(fan, rep1) == rep1
+        principal = not any(_hermite_representative(fan, [a - b for a, b in zip(c1, c2)]))
+        assert (rep1 == canonical_representative(fan, c2)) == principal
+        outcomes.add(principal)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["bl1_p2", "bl2_p2", "bl3_p2"])
+def test_hermite_and_sigma0_forms_differ_on_the_blowups(name):
+    # the Hermite pivots (0, 1) are a lattice basis but not a cone, so the
+    # two normal forms pick different representatives of the same class
+    fan = build_catalog(name)
+    rng = random.Random(name)
+    draws = [tuple(rng.randint(-20, 20) for _ in fan.rays) for _ in range(20)]
+    assert any(canonical_representative(fan, c) != _hermite_representative(fan, c) for c in draws)
 
 
 def test_chi_recursive_ray_order_is_irrelevant():
