@@ -32,9 +32,11 @@ their maximum on each axis, and it provably holds every nonzero term:
 The vertices come from integer adjugates of the nonsingular n-subsets of
 rays, computed once per fan, and exact floor and ceil division. A box of
 more than _MAX_SCAN_LINES lines raises ScanRegionError before any summing.
-The box goes through the one scan kernel, kernel.box_sum, which sums each
-line of the box as runs of one ray mask between the points where a ray's
-inequality flips, so the fan's contribution table is read once per run.
+The box goes through the one scan kernel, kernel.box_sum, which sums the
+box a plane at a time: the rows of a plane between two changes in the
+order of the rays' breakpoints form a band, summed in closed form as runs
+of one ray mask times exact floor sums, so the fan's contribution table is
+read once per run of a band, not once per line or point.
 The table is a dict filled per mask on first use, so no fan pays for all
 2^r masks. Like the other routes it passes the one entry gate,
 fan.require_complete, so a fan that is not complete or has a
@@ -70,7 +72,14 @@ def canonical_representative(fan: Fan, coeffs) -> tuple[int, ...]:
     unless coeffs are integers, one per ray; NonSmoothConeError unless σ₀
     is unimodular."""
     sigma = fan.max_cones[0]
-    return zero_on(fan, sigma, sigma, TorusDivisor(fan, coeffs).coeffs)
+    # a tuple of ints of the right length, as _chi always passes, needs no check
+    if (
+        type(coeffs) is not tuple
+        or len(coeffs) != len(fan.rays)
+        or not all(type(c) is int for c in coeffs)
+    ):
+        coeffs = TorusDivisor(fan, coeffs).coeffs
+    return zero_on(fan, sigma, sigma, coeffs)
 
 
 _chi_memo: dict = {}
@@ -215,8 +224,10 @@ def _arrangement_box(fan: Fan, coeffs):
 
 
 # The most lines one box may have: the product of its extents off the
-# longest axis, along which kernel.box_sum sweeps. The largest box the
-# tests and the P^7 rungs reach, P^7 with D = (−5, −4, 0, …, 0), has 10^6.
+# longest axis, the lines of kernel.box_sum's planes, counted before any
+# summing although the kernel sums most rows of a long plane a band at a
+# time. The largest box the tests and the P^7 rungs reach, P^7 with
+# D = (−5, −4, 0, …, 0), has 10^6.
 _MAX_SCAN_LINES = 1 << 24
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -90,6 +91,17 @@ def test_canonical_representative_refuses_bad_input():
     # σ₀ = (0, 1) has determinant 2, so no dual basis reads the class off it
     with pytest.raises(NonSmoothConeError):
         canonical_representative(Fan(2, ((1, 0), (1, 2)), ((0, 1),)), (1, 0))
+
+
+def test_canonical_representative_checks_all_but_int_tuples():
+    # a tuple of ints skips the input check; anything else goes through it
+    want = canonical_representative(P2, (3, -1, 2))
+    assert canonical_representative(P2, [3, -1, 2]) == want
+    assert canonical_representative(P2, (3, -1, True)) == canonical_representative(P2, (3, -1, 1))
+    for bad in ((Fraction(3), -1, 2), (3.0, -1, 2), [3, -1, 2.5]):
+        with pytest.raises(DivisorError, match="expected integers"):
+            canonical_representative(P2, bad)
+    assert all(type(c) is int for c in canonical_representative(P2, [3, -1, True]))
 
 
 def _hermite_representative(fan, coeffs):
