@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .engine import engine_for
 from .errors import DivisorError, ToricError, exact_ints
-from .fan import Fan, ray_index, star_fan
+from .fan import Fan, _star_fan_cached, ray_index
 from .intlinalg import dot, inv_rational
 
 Character = tuple[int, ...]
@@ -140,10 +140,15 @@ def restrict_divisor(d: TorusDivisor, rho: int) -> TorusDivisor:
     """Restriction of O(D) to V(ρ), as a divisor on star_fan(rho): D cleared
     at rho as in clear_ray_coefficient, read on the rays adjacent to rho in
     star-fan ray order (the order of ray_map's keys)."""
-    rho = ray_index(d.fan, rho)
-    cleared = zero_on(d.fan, engine_for(d.fan).first_cone[(rho,)], (rho,), d.coeffs)
-    star, ray_map = star_fan(d.fan, (rho,))
-    return TorusDivisor(star, tuple(cleared[g] for g in ray_map))
+    return TorusDivisor(*restrict(d.fan, ray_index(d.fan, rho), d.coeffs))
+
+
+def restrict(fan: Fan, rho: int, coeffs) -> tuple[Fan, tuple[int, ...]]:
+    """restrict_divisor's (star fan, coefficients) for a checked ray index
+    and int coefficients, one per ray; builds no TorusDivisor."""
+    cleared = zero_on(fan, engine_for(fan).first_cone[(rho,)], (rho,), coeffs)
+    star, ray_map = _star_fan_cached(fan, (rho,))
+    return star, tuple(cleared[g] for g in ray_map)
 
 
 def is_linearly_equivalent(d1: TorusDivisor, d2: TorusDivisor):

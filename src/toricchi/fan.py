@@ -417,11 +417,11 @@ def star_fan(fan: Fan, tau) -> StarFan:
 
 @per_fan
 def _star_fan_cached(fan: Fan, tau: tuple[int, ...]) -> StarFan:
-    if spans_cone(fan, tau) is None:
+    sigma = engine_for(fan).first_cone.get(tau)
+    if sigma is None:
         raise NotAFaceError(f"{tau} is not a face of the fan")
     if not tau:
         return StarFan(fan, MappingProxyType({i: i for i in range(len(fan.rays))}))
-    sigma = engine_for(fan).first_cone[tau]
     basis = [m for i, m in zip(sigma, fan.dual_basis(sigma)) if i not in tau]
     tau_set = set(tau)
     cones = [c for c in fan.max_cones if tau_set.issubset(c)]

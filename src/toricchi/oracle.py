@@ -2,10 +2,11 @@
 
 chi_recursive runs the inductive difference identity as an algorithm:
 χ(O(D)) − χ(O(D−D_ρ)) equals χ of the restriction on the star fan of ρ.
-Divisors are replaced by the class's representative that is zero on
-σ₀ = max_cones[0] (divisor.zero_on), the memoization key and the
-termination measure. Stepping the first nonzero coefficient toward zero
-keeps it canonical with no reduction (see _chi) and drops its L1 norm.
+The divisor is checked once, on entry; the recursion then restricts int
+tuples (divisor.restrict), each replaced by the class's representative
+that is zero on σ₀ = max_cones[0] (divisor.zero_on), the memoization key
+and the termination measure. Stepping the first nonzero coefficient toward
+zero keeps it canonical with no reduction (see _chi) and drops its L1 norm.
 Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and the trivial class
 (χ = 1, the Todd-genus fact taken as input). As in the paper's induction on
 dimension, only the restriction recurses: the chain of steps within one
@@ -56,7 +57,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from . import kernel
-from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict_divisor, zero_on
+from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict, zero_on
 from .engine import per_fan
 from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError, exact_ints
 from .fan import Fan, enumerate_faces, require_complete
@@ -72,14 +73,7 @@ def canonical_representative(fan: Fan, coeffs) -> tuple[int, ...]:
     unless coeffs are integers, one per ray; NonSmoothConeError unless σ₀
     is unimodular."""
     sigma = fan.max_cones[0]
-    # a tuple of ints of the right length, as _chi always passes, needs no check
-    if (
-        type(coeffs) is not tuple
-        or len(coeffs) != len(fan.rays)
-        or not all(type(c) is int for c in coeffs)
-    ):
-        coeffs = TorusDivisor(fan, coeffs).coeffs
-    return zero_on(fan, sigma, sigma, coeffs)
+    return zero_on(fan, sigma, sigma, TorusDivisor(fan, coeffs).coeffs)
 
 
 _chi_memo: dict = {}
@@ -116,10 +110,11 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
 
 
 def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
-    """χ of the class of coeffs. The chain D, D ∓ D_ρ, … along the picked
-    rays is a loop; only the restriction at each link recurses, onto a star
-    fan of one dimension less, so the depth is at most fan.dim and no
-    global recursion limit is raised. The chain stops at the trivial class or a memoized one, and on the way back every
+    """χ of the class of coeffs, a tuple of ints, one per ray. The chain
+    D, D ∓ D_ρ, … along the picked rays is a loop; only the restriction at
+    each link recurses, onto a star fan of one dimension less, so the depth
+    is at most fan.dim and no global recursion limit is raised. The chain
+    stops at the trivial class or a memoized one, and on the way back every
     link is memoized with its running sum."""
     if fan.dim == 0:
         return 1
@@ -129,7 +124,8 @@ def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
     scan = order if order is not None else range(len(fan.rays))
     links = []
     total = 1
-    rep = canonical_representative(fan, coeffs)
+    sigma = fan.max_cones[0]
+    rep = zero_on(fan, sigma, sigma, coeffs)
     while any(rep):
         key = (fan, rep)
         if key in memo:
@@ -144,8 +140,8 @@ def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
         # descend: χ(D) = χ(D − D_ρ) + χ(D|); ascend: χ(D) = χ(D + D_ρ) − χ((D + D_ρ)|)
         sign = 1 if rep[rho] > 0 else -1
         stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
-        restricted = restrict_divisor(TorusDivisor(fan, rep if sign > 0 else stepped), rho)
-        links.append((key, sign * _chi(restricted.fan, restricted.coeffs, None, memo, budget)))
+        star, restricted = restrict(fan, rho, rep if sign > 0 else stepped)
+        links.append((key, sign * _chi(star, restricted, None, memo, budget)))
         # canonical already: rep is zero on σ₀, so rho is off σ₀ and the
         # stepped tuple is still zero on σ₀
         rep = stepped
@@ -253,8 +249,7 @@ def _scan(fan: Fan, coeffs):
 
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the arrangement's vertex box."""
-    require_complete(fan)
-    return _scan(fan, divisor_on(fan, d).coeffs)[0]
+    return cohomology_scan_detail(fan, d)[0]
 
 
 def cohomology_scan_detail(fan: Fan, d: TorusDivisor):

@@ -178,10 +178,10 @@ def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
     """
     require_complete(fan)
     d = divisor_on(fan, d)
-    restricted = restrict_divisor(d, rho)
+    i = ray_index(fan, rho)
+    restricted = restrict_divisor(d, i)
     lhs = chi_hrr(restricted.fan, restricted)
 
-    i = ray_index(fan, rho)
     td = _td_degrees(fan)
     step = _step_degrees(fan, i)
     weights = td.walk.weights(d.coeffs)

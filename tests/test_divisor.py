@@ -16,6 +16,7 @@ from toricchi.divisor import (
     is_linearly_equivalent,
     principal_divisor,
     ray_divisor,
+    restrict,
     restrict_divisor,
     zero_divisor,
 )
@@ -312,4 +313,6 @@ def test_clearing_row_matches_principal_divisor_oracle():
             for coeffs in draws:
                 d = TorusDivisor(fan, coeffs)
                 assert clear_ray_coefficient(d, rho) == _principal_clear(d, rho)
-                assert restrict_divisor(d, rho) == _principal_restrict(d, rho)
+                want = _principal_restrict(d, rho)
+                assert restrict_divisor(d, rho) == want
+                assert restrict(fan, rho, coeffs) == (want.fan, want.coeffs)

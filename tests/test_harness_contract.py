@@ -107,7 +107,8 @@ def test_tracer_sees_every_chi_route():
         tr.remove()
     for route in ("todd.chi_hrr", "oracle.chi_recursive", "oracle.chi_graded_cohomology"):
         assert tr.calls(route) > 0, route
-    # the recursion's restrictions go through oracle's module global, so they are seen
+    # the induction steps' restrictions go through todd's module global, so they
+    # are seen; the recursion's own (divisor.restrict) count under chi_recursive
     assert tr.calls("divisor.restrict_divisor") > 0
     after = _bindings()
     assert after.keys() == before.keys()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricchi import kernel, oracle
+from toricchi import clear_caches, kernel, oracle
 from toricchi.catalog import (
     build_catalog,
     catalog_names,
@@ -94,7 +94,7 @@ def test_canonical_representative_refuses_bad_input():
 
 
 def test_canonical_representative_checks_all_but_int_tuples():
-    # a tuple of ints skips the input check; anything else goes through it
+    # every input, a tuple of ints included, goes through the one input check
     want = canonical_representative(P2, (3, -1, 2))
     assert canonical_representative(P2, [3, -1, 2]) == want
     assert canonical_representative(P2, (3, -1, True)) == canonical_representative(P2, (3, -1, 1))
@@ -251,6 +251,25 @@ def test_chi_memo_is_emptied_over_its_cap(monkeypatch):
     assert chi_recursive(P2, small) == chi_hrr(P2, small)
     # the second call found the memo over the cap and started it afresh
     assert 0 < len(oracle._chi_memo) <= 50
+
+
+def test_chi_recursive_builds_no_divisor_below_its_entry(monkeypatch):
+    # the divisor is checked once, when chi_recursive takes it; every link
+    # restricts int tuples through divisor.restrict
+    fan = projective_space(3)
+    d = TorusDivisor(fan, (12, -7, 5, 9))
+    want = chi_hrr(fan, d)
+    clear_caches()
+    built = []
+    check = TorusDivisor.__post_init__
+
+    def counted(self):
+        built.append(self.coeffs)
+        check(self)
+
+    monkeypatch.setattr(TorusDivisor, "__post_init__", counted)
+    assert chi_recursive(fan, d) == want == 1540
+    assert built == []
 
 
 def test_chi_graded_cohomology_p1():
