@@ -13,8 +13,9 @@ lattice-point count. All arithmetic is exact (ints and Fractions).
 A Fan decides at construction whether it is smooth and complete and keeps
 its integer dual bases. Every other value derived from a fan alone (faces,
 move rows, star fans, the contribution table, the arrangement adjugates,
-the monomial walk and the integer degree tables) lives in that fan's engine, see engine.py; at most
-engine._MAX_ENGINES are kept, and clear_caches() drops them.
+the monomial walk and the integer degree tables) lives in that fan's
+engine, see engine.py; at most engine._MAX_ENGINES are kept, and
+clear_caches() drops them.
 """
 
 from . import engine, oracle, todd

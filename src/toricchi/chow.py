@@ -12,8 +12,9 @@ of u_ρ inside the lexicographically first maximal cone σ ⊇ τ:
 D_ρ = −Σ_{γ∉σ(1)} ⟨m, u_γ⟩ D_γ  (mod relations vanishing on V(τ)),
 and each summand is transverse because γ ∉ τ. Both cases are read from
 the fan engine (engine.py): the transverse test is a lookup in its face
-set and the move case reads its rewrite row for (σ, ρ), whether σ is the
-first cone or one the caller chose.
+set and the move case reads its rewrite row for (σ, ρ), σ the cone the
+engine keeps as first for τ. Any other σ ⊇ τ gives the same degrees; the
+tests check that against a reference move that reads σ's dual basis.
 Every coefficient the rules produce is an integer (1, or −⟨m, u_γ⟩ with m
 integral on a smooth fan), so a class with integer coefficients stays
 integral under multiplication.
@@ -95,12 +96,12 @@ def fundamental_class(fan: Fan) -> CycleClass:
     return CycleClass(fan, {(): Fraction(1)})
 
 
-def _times_ray(engine, parts: dict, rho: int, choose_cone=None) -> dict:
+def _times_ray(engine, parts: dict, rho: int) -> dict:
     """D_ρ · Σ c_τ [V(τ)] as a face -> coefficient dict, through the
     engine's face set and move rows; coefficients of any exact number type,
-    zeros kept. The move case rewrites D_ρ in σ = choose_cone(fan, τ) when
-    a chooser is given, else in the first maximal cone containing τ; a face
-    τ that no maximal cone contains raises DivisorError."""
+    zeros kept. The move case rewrites D_ρ in the first maximal cone
+    containing τ; a face τ that no maximal cone contains raises
+    DivisorError."""
     faces = engine.first_cone
     out: dict = {}
     for tau, coeff in parts.items():
@@ -109,12 +110,9 @@ def _times_ray(engine, parts: dict, rho: int, choose_cone=None) -> dict:
             if target in faces:
                 out[target] = out.get(target, 0) + coeff
         else:
-            if choose_cone is not None:
-                sigma = choose_cone(engine.fan, tau)
-            else:
-                sigma = faces.get(tau)
-                if sigma is None:
-                    sigma = first_cone_containing(engine.fan, tau)
+            sigma = faces.get(tau)
+            if sigma is None:
+                sigma = first_cone_containing(engine.fan, tau)
             for g, p in engine.move_row(sigma, rho):
                 target = tuple(sorted(tau + (g,)))
                 if target in faces:
@@ -122,17 +120,12 @@ def _times_ray(engine, parts: dict, rho: int, choose_cone=None) -> dict:
     return out
 
 
-def multiply_ray_divisor(c: CycleClass, rho: int, choose_cone=None) -> CycleClass:
-    """D_ρ · c, extended linearly over the [V(τ)] terms of c.
-
-    choose_cone optionally overrides the move-case choice of maximal cone
-    σ ⊇ τ (signature (fan, tau) -> cone); any valid choice gives the same
-    degrees, which the test suite exercises. The default choice is the
-    lexicographically first cone.
-    """
+def multiply_ray_divisor(c: CycleClass, rho: int) -> CycleClass:
+    """D_ρ · c, extended linearly over the [V(τ)] terms of c; the move case
+    rewrites D_ρ in the first maximal cone containing τ."""
     fan = c.fan
     rho = ray_index(fan, rho)
-    return CycleClass(fan, _times_ray(engine_for(fan), c.parts, rho, choose_cone))
+    return CycleClass(fan, _times_ray(engine_for(fan), c.parts, rho))
 
 
 class Term(NamedTuple):
@@ -142,7 +135,7 @@ class Term(NamedTuple):
     rays: tuple[int, ...]
 
 
-def apply_divisor_polynomial(c: CycleClass, terms, choose_cone=None) -> CycleClass:
+def apply_divisor_polynomial(c: CycleClass, terms) -> CycleClass:
     """Σ over terms of coeff · (iterated ray multiplication) applied to c.
 
     Monomial factors are applied in the order the term lists them; anything
@@ -155,7 +148,7 @@ def apply_divisor_polynomial(c: CycleClass, terms, choose_cone=None) -> CycleCla
             continue
         cur = c
         for rho in term.rays:
-            cur = multiply_ray_divisor(cur, rho, choose_cone)
+            cur = multiply_ray_divisor(cur, rho)
             if not cur.parts:
                 break
         total = total + cur.scale(term.coeff)

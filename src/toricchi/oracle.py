@@ -275,16 +275,15 @@ def cartier_data(fan: Fan, d: TorusDivisor) -> list[tuple[int, ...]]:
     return out
 
 
+def _passes_nef(fan: Fan, coeffs, data) -> bool:
+    """Whether the Cartier data pass is_nef's inequalities."""
+    return all(dot(m, u) >= -a for m in data for u, a in zip(fan.rays, coeffs))
+
+
 def is_nef(fan: Fan, d: TorusDivisor) -> bool:
     """Cartier-data inequalities ⟨m_σ, u_γ⟩ ≥ −a_γ at every cone, every ray."""
     d = divisor_on(fan, d)
-    if fan.dim == 0:
-        return True
-    for m in cartier_data(fan, d):
-        for g, u in enumerate(fan.rays):
-            if dot(m, u) < -d.coeffs[g]:
-                return False
-    return True
+    return fan.dim == 0 or _passes_nef(fan, d.coeffs, cartier_data(fan, d))
 
 
 def count_lattice_points(fan: Fan, d: TorusDivisor):
@@ -297,9 +296,9 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     d = divisor_on(fan, d)
     if fan.dim == 0:
         return 1
-    if not is_nef(fan, d):
-        return None
     data = cartier_data(fan, d)
+    if not _passes_nef(fan, d.coeffs, data):
+        return None
     lo = [min(m[i] for m in data) for i in range(fan.dim)]
     hi = [max(m[i] for m in data) for i in range(fan.dim)]
     inside = defaultdict(int, {0: 1})

@@ -4,9 +4,11 @@ induction-step identity.
 The univariate Todd coefficients t_k are produced by inverting the series
 (1 − e^{−x})/x = Σ_{j≥0} (−1)^j x^j/(j+1)! exactly, never from a hard-coded
 Bernoulli table; the convolution identity Σ t_k g_{m−k} = [m = 0] is the
-self-check. The Todd class of the fan is the product over rays of the
-truncated factor Σ_k t_k D_ρ^k applied to the fundamental class, factors in
-input ray order, grading truncated at codimension n as it goes.
+self-check. One product builds both classes the paper's proof uses: the
+truncated Todd factor Σ_k t_k D_γ^k of each ray γ in a list, applied to the
+fundamental class in list order, grading truncated at codimension n as it
+goes (_todd_product). Over all rays it is Td(X); over the rays adjacent to
+ρ, times D_ρ, it is the induction step's class C_ρ.
 
 χ(O(D)) by Riemann-Roch is degree(e^D · Td). The fan's engine holds one
 MonomialWalk (chow.py), over σ₀ = fan.max_cones[0], and integer degree
@@ -20,8 +22,7 @@ on σ₀, and
 an integer sum with one exact division at the end; a nonzero remainder
 raises ToricError. The induction step's rhs is the same sum for D minus the
 sum for D − D_ρ against the Td table, and its intermediate the sum against
-the table of the step class C_ρ = D_ρ · Π over rays γ adjacent to ρ of the
-Todd factor of γ; lhs is chi_hrr on the star fan. chi_hrr_direct and
+the table of C_ρ; lhs is chi_hrr on the star fan. chi_hrr_direct and
 step_intermediate_direct multiply e^D out on the class instead, with no
 table, as cross-checks.
 """
@@ -44,9 +45,9 @@ from .chow import (
     multiply_ray_divisor,
 )
 from .divisor import TorusDivisor, divisor_on, restrict_divisor
-from .engine import _MAX_ENGINES, per_fan
+from .engine import _MAX_ENGINES, engine_for, per_fan
 from .errors import DomainError, ToricError, exact_ints
-from .fan import Fan, ray_index, require_complete, spans_cone
+from .fan import Fan, ray_index, require_complete
 
 
 def todd_generating_series(order: int) -> list[Fraction]:
@@ -68,28 +69,28 @@ def todd_univariate(order: int) -> tuple[Fraction, ...]:
     return tuple(t)
 
 
-def _apply_todd_factor(cls: CycleClass, rho: int, t, choose_cone=None) -> CycleClass:
-    """cls · Σ_k t_k D_ρ^k, truncated by the grading."""
-    n = cls.fan.dim
-    acc = cls.scale(t[0])
-    power = cls
-    for k in range(1, n + 1):
-        power = multiply_ray_divisor(power, rho, choose_cone)
-        if not power.parts:
-            break
-        acc = acc + power.scale(t[k])
-    return acc
+def _todd_product(fan: Fan, rays) -> CycleClass:
+    """Π over rays γ of the factor Σ_k t_k D_γ^k on the fundamental class,
+    factors in the given order, truncated by the grading."""
+    t = todd_univariate(fan.dim)
+    cls = fundamental_class(fan)
+    for g in rays:
+        acc = cls.scale(t[0])
+        power = cls
+        for k in range(1, fan.dim + 1):
+            power = multiply_ray_divisor(power, g)
+            if not power.parts:
+                break
+            acc = acc + power.scale(t[k])
+        cls = acc
+    return cls
 
 
 # an lru_cache, not per_fan, because perfbench/run.py reads its cache_info()
 @lru_cache(maxsize=_MAX_ENGINES)
 def todd_class(fan: Fan) -> CycleClass:
-    """Td(X) = Π over rays of the truncated factor, on the fundamental class."""
-    t = todd_univariate(fan.dim)
-    cls = fundamental_class(fan)
-    for rho in range(len(fan.rays)):
-        cls = _apply_todd_factor(cls, rho, t)
-    return cls
+    """Td(X): the Todd product over every ray."""
+    return _todd_product(fan, range(len(fan.rays)))
 
 
 @per_fan
@@ -153,20 +154,14 @@ class StepReport:
 
 def adjacent_rays(fan: Fan, rho: int) -> list[int]:
     """Rays γ ≠ rho such that rho and γ span a cone together."""
-    return [
-        g
-        for g in range(len(fan.rays))
-        if g != rho and spans_cone(fan, (rho, g)) is not None
-    ]
+    rho = ray_index(fan, rho)
+    faces = engine_for(fan).first_cone
+    return [g for g in range(len(fan.rays)) if g != rho and (min(g, rho), max(g, rho)) in faces]
 
 
-def step_class(fan: Fan, rho: int, choose_cone=None) -> CycleClass:
-    """C_ρ = D_ρ · Π over rays γ adjacent to ρ of the Todd factor of γ."""
-    t = todd_univariate(fan.dim)
-    cls = fundamental_class(fan)
-    for g in adjacent_rays(fan, rho):
-        cls = _apply_todd_factor(cls, g, t, choose_cone)
-    return multiply_ray_divisor(cls, rho, choose_cone)
+def step_class(fan: Fan, rho: int) -> CycleClass:
+    """C_ρ = D_ρ · the Todd product over the rays adjacent to ρ."""
+    return multiply_ray_divisor(_todd_product(fan, adjacent_rays(fan, rho)), rho)
 
 
 def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
@@ -190,13 +185,12 @@ def verify_induction_step(fan: Fan, d: TorusDivisor, rho: int) -> StepReport:
     top = factorial(fan.dim)
     rhs = Fraction(td.pair(weights) - td.pair(td.walk.weights(lower)), top * td.scale)
     intermediate = Fraction(step.pair(weights), top * step.scale)
-    return StepReport(rho=rho, lhs=lhs, rhs=rhs, intermediate=intermediate)
+    return StepReport(rho=i, lhs=lhs, rhs=rhs, intermediate=intermediate)
 
 
-def step_intermediate_direct(fan: Fan, d: TorusDivisor, rho: int, choose_cone=None) -> Fraction:
+def step_intermediate_direct(fan: Fan, d: TorusDivisor, rho: int) -> Fraction:
     """Uncached route: degree(apply(e^D) to C_ρ). Cross-checks the step
     table behind verify_induction_step's intermediate, as chi_hrr_direct
-    does for chi_hrr; choose_cone is passed to every multiplication."""
+    does for chi_hrr."""
     d = divisor_on(fan, d)
-    cls = step_class(fan, rho, choose_cone)
-    return degree(apply_divisor_polynomial(cls, exp_divisor(d, fan.dim), choose_cone))
+    return degree(apply_divisor_polynomial(step_class(fan, rho), exp_divisor(d, fan.dim)))

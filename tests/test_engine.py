@@ -1,7 +1,8 @@
 """Differential tests of the per-fan engine against the computations it
 replaced: cone inversion, the face scan, first-cone search, the move-case
-multiplication, per-cone Cartier solves and the uncached step degree; and
-the store itself: its bound, eviction and clearing."""
+multiplication (against the reference move in _move_oracle), per-cone
+Cartier solves and the uncached step degree; and the store itself: its
+bound, eviction and clearing."""
 
 import ast
 import random
@@ -9,6 +10,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+
+import _move_oracle
 
 import toricchi
 from toricchi import engine, oracle, todd
@@ -46,19 +49,6 @@ ALL_FANS = catalog_names()
 FOLDS = [n for n in ALL_FANS if build_catalog(n).dim == 3]
 
 
-def random_cone_chooser(seed):
-    rng = random.Random(seed)
-
-    def choose(fan, tau):
-        return rng.choice([c for c in fan.max_cones if set(tau) <= set(c)])
-
-    return choose
-
-
-def lex_first_chooser(fan, tau):
-    return min(c for c in fan.max_cones if set(tau) <= set(c))
-
-
 def scan_spans_cone(fan, rays):
     want = tuple(sorted(set(rays)))
     return want if any(set(want) <= set(c) for c in fan.max_cones) else None
@@ -84,7 +74,7 @@ def test_face_set_agrees_with_cone_scan(name):
             assert spans_cone(fan, sub) == scan_spans_cone(fan, sub)
             assert spans_cone(fan, sub[::-1]) == scan_spans_cone(fan, sub)
             if scan_spans_cone(fan, sub) is not None:
-                assert first_cone_containing(fan, sub) == lex_first_chooser(fan, sub)
+                assert first_cone_containing(fan, sub) == _move_oracle.lex_first(fan, sub)
         if k <= fan.dim:
             assert enumerate_faces(fan, k) == tuple(
                 sub for sub in combinations(rays, k) if scan_spans_cone(fan, sub) is not None
@@ -93,15 +83,14 @@ def test_face_set_agrees_with_cone_scan(name):
 
 @pytest.mark.parametrize("name", ALL_FANS)
 def test_engine_rows_match_explicit_move(name):
-    # the table path and the override path with the same (lex-first) cone
+    # the engine's rows and the reference move in the same (lex-first) cone
     # must build the same classes, term for term
     fan = build_catalog(name)
     td = todd_class(fan)
     for rho in range(len(fan.rays)):
         for cls in (fundamental_class(fan), td, multiply_ray_divisor(td, rho)):
             fast = multiply_ray_divisor(cls, rho)
-            slow = multiply_ray_divisor(cls, rho, lex_first_chooser)
-            assert fast.parts == slow.parts
+            assert fast.parts == _move_oracle.times_ray(cls, rho, _move_oracle.lex_first).parts
 
 
 @pytest.mark.parametrize("name", ALL_FANS)
@@ -127,8 +116,8 @@ def test_step_table_matches_direct_intermediate(name):
             step = verify_induction_step(fan, d, rho)
             assert step.ok
             assert step.intermediate == step_intermediate_direct(fan, d, rho)
-            chooser = random_cone_chooser(trial * 100 + rho)
-            assert step.intermediate == step_intermediate_direct(fan, d, rho, chooser)
+            chooser = _move_oracle.random_chooser(trial * 100 + rho)
+            assert step.intermediate == _move_oracle.step_intermediate(fan, d, rho, chooser)
 
 
 def test_non_unimodular_cone_raises_typed_error():

@@ -106,10 +106,13 @@ def test_induction_step_p2_zero_divisor():
 
 @pytest.mark.parametrize("deg", range(4))
 def test_induction_step_p2_line_restriction(deg):
-    rep = verify_induction_step(P2, TorusDivisor(P2, (deg, 0, 0)), 1)
-    # restriction to the line V(1) has degree deg, so chi = deg + 1
-    assert rep.lhs == deg + 1
-    assert rep.ok
+    # True is ray 1 too, and the report keeps the checked index
+    for rho in (1, True):
+        rep = verify_induction_step(P2, TorusDivisor(P2, (deg, 0, 0)), rho)
+        # restriction to the line V(1) has degree deg, so chi = deg + 1
+        assert rep.lhs == deg + 1
+        assert rep.ok
+        assert rep.rho == 1 and type(rep.rho) is int
 
 
 def test_induction_step_p1xp1_ruling():

@@ -93,7 +93,7 @@ def test_canonical_representative_refuses_bad_input():
         canonical_representative(Fan(2, ((1, 0), (1, 2)), ((0, 1),)), (1, 0))
 
 
-def test_canonical_representative_checks_all_but_int_tuples():
+def test_canonical_representative_checks_every_input():
     # every input, a tuple of ints included, goes through the one input check
     want = canonical_representative(P2, (3, -1, 2))
     assert canonical_representative(P2, [3, -1, 2]) == want
@@ -542,6 +542,16 @@ def test_count_lattice_points_examples():
     assert count_lattice_points(fan, TorusDivisor(fan, (1, 0, 1, 0))) == 4
     assert count_lattice_points(P2, TorusDivisor(P2, (-1, 0, 0))) is None
     assert count_lattice_points(P2, zero_divisor(P2)) == 1
+
+
+def test_count_lattice_points_reads_the_cartier_data_once(monkeypatch):
+    calls = []
+    real = oracle.cartier_data
+    monkeypatch.setattr(oracle, "cartier_data", lambda *a: calls.append(a) or real(*a))
+    for coeffs, want in (((2, 0, 0), 6), ((-1, 0, 0), None)):
+        calls.clear()
+        assert count_lattice_points(P2, TorusDivisor(P2, coeffs)) == want
+        assert len(calls) == 1
 
 
 def test_count_matches_chi_for_nef():
