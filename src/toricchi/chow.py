@@ -21,11 +21,12 @@ integral under multiplication.
 
 The HRR sums read degrees in integer form. χ only sees the class of D, so
 a MonomialWalk over a maximal cone σ first replaces D by the equivalent
-D′ = D − div(χ^m) that vanishes on σ's rays (m from σ's dual basis, which
-the fan computed once), and lists the monomials D^α of degree ≤ n in the
-r − n rays off σ, depth first, each one its parent times one ray divisor.
-Its weights(D) are the integers n!/α! · a′^α, built along the same walk,
-so that e^D ≡ Σ_α weight_α / n! · D^α. A DegreeTable holds
+D′ = D − div(χ^m) that vanishes on σ's rays (divisor.zero_on, the class
+normal form, which reads the engine's move rows), and lists the monomials
+D^α of degree ≤ n in the r − n rays off σ, depth first, each one its
+parent times one ray divisor. Its weights(D) are the integers
+n!/α! · a′^α, built along the same walk, so that
+e^D ≡ Σ_α weight_α / n! · D^α. A DegreeTable holds
 deg(base · D^α) for every monomial of one walk as integers over one scale,
 the lcm L of the base class's denominators: it fills them by the same walk,
 keeping only the ≤ n + 1 prefix classes on the path to the current
@@ -48,11 +49,10 @@ from typing import NamedTuple
 
 # dual_basis_vector is not called here; perfbench's tracer and its test
 # reach it under this module's name.
-from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing  # noqa: F401
+from .divisor import TorusDivisor, dual_basis_vector, first_cone_containing, zero_on  # noqa: F401
 from .engine import engine_for
 from .errors import DomainError, ToricError, exact_ints
 from .fan import Fan, ray_index
-from .intlinalg import dot
 
 
 class CycleClass:
@@ -170,20 +170,17 @@ class MonomialWalk:
     of its last ray; in depth-first order the parent is the latest
     monomial one level up.
 
-    shifts[j] pairs the off-σ ray off[j] with σ's dual basis, so D′ = D −
-    div(χ^m) has coefficient a_{off[j]} − Σ_i a_{σ[i]} · shifts[j][i] there
-    and 0 on σ.
+    weights reads D′ = D − div(χ^m), zero on σ, from divisor.zero_on.
     """
 
-    __slots__ = ("fan", "sigma", "off", "shifts", "rays", "_steps")
+    __slots__ = ("fan", "sigma", "off", "rays", "_steps")
 
     def __init__(self, fan: Fan, sigma):
         n = fan.dim
         self.fan = fan
         self.sigma = sigma = tuple(sigma)
-        dual = fan.dual_basis(sigma)
+        fan.dual_basis(sigma)  # NonSmoothConeError here, not at the first weights
         self.off = off = tuple(g for g in range(len(fan.rays)) if g not in sigma)
-        self.shifts = tuple(tuple(dot(m, fan.rays[g]) for m in dual) for g in off)
         rays, parent, slot, run = [()], [-1], [-1], [0]
 
         def visit(k, lo):
@@ -210,8 +207,8 @@ class MonomialWalk:
         run: n!/(α + e_j)! · a′^(α+e_j) is an integer, so the floor division
         is exact.
         """
-        s = [coeffs[i] for i in self.sigma]
-        a = [coeffs[g] - sum(map(mul, s, row)) for g, row in zip(self.off, self.shifts)]
+        zeroed = zero_on(self.fan, self.sigma, self.sigma, coeffs)
+        a = [zeroed[g] for g in self.off]
         w = [factorial(self.fan.dim)]
         for p, j, c in self._steps:
             w.append(w[p] * a[j] // c)

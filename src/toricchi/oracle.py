@@ -7,13 +7,14 @@ tuples (divisor.restrict), each replaced by the class's representative
 that is zero on σ₀ = max_cones[0] (divisor.zero_on), the memoization key
 and the termination measure. Stepping the first nonzero coefficient toward
 zero keeps it canonical with no reduction (see _chi) and drops its L1 norm.
-Base cases: dimension ≤ 1 (χ = deg + 1 on the line) and the trivial class
-(χ = 1, the Todd-genus fact taken as input). As in the paper's induction on
-dimension, only the restriction recurses: the chain of steps within one
-fan is a loop, so the depth is at most the dimension and the interpreter's
-recursion limit is never touched. The node budget (TORIC_RECURSION_BUDGET)
-is the one bound on the work. The shared memo is emptied when a call
-starts with more than _CHI_MEMO_CAP entries in it.
+Base cases: the line (χ = deg + 1) and the trivial class (χ = 1, the
+Todd-genus fact taken as input; on a point every class is trivial). As in
+the paper's induction on dimension, only the restriction recurses: the
+chain of steps within one fan is a loop, so the depth is at most the
+dimension and the interpreter's recursion limit is never touched. The node
+budget (TORIC_RECURSION_BUDGET) is the one bound on the work. The one memo,
+_chi_memo, is emptied when a call starts with more than _CHI_MEMO_CAP
+entries in it.
 
 chi_graded_cohomology sums, over lattice characters m, the alternating sum
 of graded cohomology via face counting: the contribution of m is
@@ -59,7 +60,7 @@ from itertools import combinations
 from . import kernel
 from .divisor import TorusDivisor, canonical_divisor, divisor_on, restrict, zero_on
 from .engine import per_fan
-from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError, exact_ints
+from .errors import DomainError, RecursionBudgetExceeded, ScanRegionError, ToricError
 from .fan import Fan, enumerate_faces, require_complete
 from .intlinalg import det_int, dot, inv_rational
 from .todd import chi_hrr  # noqa: F401  (CHI_METHODS names it)
@@ -82,14 +83,11 @@ _chi_memo: dict = {}
 _CHI_MEMO_CAP = 1 << 18
 
 
-def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
+def chi_recursive(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) by running the induction: descend on positive coefficients
     (χ(D) = χ(D−D_ρ) + χ of the restriction), ascend on negative ones
-    (χ(D) = χ(D+D_ρ) − χ of the restriction of D+D_ρ).
-
-    ray_order optionally overrides the scan order used to pick ρ (top fan
-    only); the result is provably order-independent, and passing an order
-    uses a fresh memo table so different orders genuinely recompute.
+    (χ(D) = χ(D+D_ρ) − χ of the restriction of D+D_ρ). ρ is the first
+    ray, in ray order, where the class's representative is nonzero.
     """
     require_complete(fan)
     text = os.environ.get("TORIC_RECURSION_BUDGET", str(DEFAULT_RECURSION_BUDGET))
@@ -97,57 +95,47 @@ def chi_recursive(fan: Fan, d: TorusDivisor, ray_order=None) -> int:
         budget = [int(text)]
     except ValueError:
         raise DomainError(f"TORIC_RECURSION_BUDGET must be an integer, got {text!r}") from None
-    if ray_order is not None:
-        ray_order = exact_ints(ray_order, ToricError, "ray_order")
-        if sorted(ray_order) != list(range(len(fan.rays))):
-            raise ToricError(f"ray_order {ray_order} is not a permutation of the rays")
-        memo: dict = {}
-    else:
-        if len(_chi_memo) > _CHI_MEMO_CAP:
-            _chi_memo.clear()
-        memo = _chi_memo
-    return _chi(fan, divisor_on(fan, d).coeffs, ray_order, memo, budget)
+    if len(_chi_memo) > _CHI_MEMO_CAP:
+        _chi_memo.clear()
+    return _chi(fan, divisor_on(fan, d).coeffs, budget)
 
 
-def _chi(fan: Fan, coeffs, order, memo, budget) -> int:
+def _chi(fan: Fan, coeffs, budget) -> int:
     """χ of the class of coeffs, a tuple of ints, one per ray. The chain
     D, D ∓ D_ρ, … along the picked rays is a loop; only the restriction at
     each link recurses, onto a star fan of one dimension less, so the depth
     is at most fan.dim and no global recursion limit is raised. The chain
     stops at the trivial class or a memoized one, and on the way back every
-    link is memoized with its running sum."""
-    if fan.dim == 0:
-        return 1
+    link is memoized in _chi_memo with its running sum."""
     if fan.dim == 1:
         # on the line, χ = degree + 1; the coefficient sum is equivalence-invariant
         return sum(coeffs) + 1
-    scan = order if order is not None else range(len(fan.rays))
     links = []
     total = 1
     sigma = fan.max_cones[0]
     rep = zero_on(fan, sigma, sigma, coeffs)
     while any(rep):
         key = (fan, rep)
-        if key in memo:
-            total = memo[key]
+        if key in _chi_memo:
+            total = _chi_memo[key]
             break
         budget[0] -= 1
         if budget[0] < 0:
             raise RecursionBudgetExceeded(
                 "recursion budget exhausted (set TORIC_RECURSION_BUDGET to raise it)"
             )
-        rho = next(i for i in scan if rep[i])
+        rho = next(i for i, c in enumerate(rep) if c)
         # descend: χ(D) = χ(D − D_ρ) + χ(D|); ascend: χ(D) = χ(D + D_ρ) − χ((D + D_ρ)|)
         sign = 1 if rep[rho] > 0 else -1
         stepped = tuple(c - sign if i == rho else c for i, c in enumerate(rep))
         star, restricted = restrict(fan, rho, rep if sign > 0 else stepped)
-        links.append((key, sign * _chi(star, restricted, None, memo, budget)))
+        links.append((key, sign * _chi(star, restricted, budget)))
         # canonical already: rep is zero on σ₀, so rho is off σ₀ and the
         # stepped tuple is still zero on σ₀
         rep = stepped
     for key, delta in reversed(links):
         total += delta
-        memo[key] = total
+        _chi_memo[key] = total
     return total
 
 
@@ -239,22 +227,14 @@ def _box_sum(lo, hi, rays, bounds, table) -> int:
     return kernel.box_sum(lo, hi, rays, bounds, table)
 
 
-def _scan(fan: Fan, coeffs):
-    if fan.dim == 0:
-        return 1, (), ()
+def _scan(fan: Fan, coeffs) -> int:
     lo, hi = _arrangement_box(fan, coeffs)
     bounds = [-a for a in coeffs]
-    return _box_sum(lo, hi, fan.rays, bounds, _contribution_table(fan)), lo, hi
+    return _box_sum(lo, hi, fan.rays, bounds, _contribution_table(fan))
 
 
 def chi_graded_cohomology(fan: Fan, d: TorusDivisor) -> int:
     """χ(O(D)) as Σ_m (1 − χ_face(Δ_{D,m})) over the arrangement's vertex box."""
-    return cohomology_scan_detail(fan, d)[0]
-
-
-def cohomology_scan_detail(fan: Fan, d: TorusDivisor):
-    """(chi, lo, hi): χ(O(D)) and the box [lo, hi] it summed, the bounding
-    box of the arrangement vertices (empty tuples on a 0-dimensional fan)."""
     require_complete(fan)
     return _scan(fan, divisor_on(fan, d).coeffs)
 
@@ -283,7 +263,7 @@ def _passes_nef(fan: Fan, coeffs, data) -> bool:
 def is_nef(fan: Fan, d: TorusDivisor) -> bool:
     """Cartier-data inequalities ⟨m_σ, u_γ⟩ ≥ −a_γ at every cone, every ray."""
     d = divisor_on(fan, d)
-    return fan.dim == 0 or _passes_nef(fan, d.coeffs, cartier_data(fan, d))
+    return _passes_nef(fan, d.coeffs, cartier_data(fan, d))
 
 
 def count_lattice_points(fan: Fan, d: TorusDivisor):
@@ -294,8 +274,6 @@ def count_lattice_points(fan: Fan, d: TorusDivisor):
     """
     require_complete(fan)
     d = divisor_on(fan, d)
-    if fan.dim == 0:
-        return 1
     data = cartier_data(fan, d)
     if not _passes_nef(fan, d.coeffs, data):
         return None

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from _relabel import relabel
+
 from toricchi.catalog import build_catalog, catalog_names, hirzebruch, projective_space
 from toricchi.chow import Term, apply_divisor_polynomial, degree, fundamental_class
 from toricchi.divisor import TorusDivisor, canonical_divisor, zero_divisor
@@ -194,27 +196,32 @@ def test_criterion_07_serre_duality(acceptance_record, trial_chis):
 
 
 def test_criterion_08_path_independence(acceptance_record):
+    # relabelling the rays changes the recursion's ray picks, σ₀ (so the
+    # representative and the HRR walk) and every star fan's ray order; each
+    # route must still give the original χ
     failures = 0
     runs = 0
     for idx, name in enumerate(ALL_FANS):
         fan = build_catalog(name)
         nrays = len(fan.rays)
         rng = random.Random(52000 + idx)
-        for _ in range(20):
-            coeffs = tuple(rng.randint(COEFF_LO, COEFF_HI) for _ in fan.rays)
-            d = TorusDivisor(fan, coeffs)
-            base = chi_recursive(fan, d)
-            for _ in range(10):
-                order = list(range(nrays))
-                rng.shuffle(order)
-                runs += 1
-                if chi_recursive(fan, d, ray_order=tuple(order)) != base:
-                    failures += 1
+        draws = [tuple(rng.randint(COEFF_LO, COEFF_HI) for _ in fan.rays) for _ in range(20)]
+        base = [chi_recursive(fan, TorusDivisor(fan, c)) for c in draws]
+        for _ in range(10):
+            order = list(range(nrays))
+            rng.shuffle(order)
+            other, move = relabel(fan, order)
+            for coeffs, want in zip(draws, base):
+                d = TorusDivisor(other, move(coeffs))
+                for route in (chi_hrr, chi_recursive, chi_graded_cohomology):
+                    runs += 1
+                    if route(other, d) != want:
+                        failures += 1
     acceptance_record(
         8,
         "path-independence",
         failures == 0,
-        f"{len(ALL_FANS)} fans x 20 divisors x 10 orders = {runs} runs, "
+        f"{len(ALL_FANS)} fans x 20 divisors x 10 relabellings x 3 routes = {runs} runs, "
         f"{failures} failures",
     )
 

@@ -42,7 +42,7 @@ SIGNATURES = {
     "verify_induction_step": "(fan, d, rho)",
     "step_intermediate_direct": "(fan, d, rho)",
     "StepReport": "(rho, lhs, rhs, intermediate)",
-    "chi_recursive": "(fan, d, ray_order=None)",
+    "chi_recursive": "(fan, d)",
     "chi_graded_cohomology": "(fan, d)",
     "count_lattice_points": "(fan, d)",
     "serre_duality_check": "(fan, d, method='hrr')",

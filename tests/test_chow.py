@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _move_oracle import apply_polynomial, random_chooser
+from _move_oracle import apply_polynomial, lex_first, random_chooser, times_ray
 
 from toricchi.catalog import build_catalog, hirzebruch, projective_space
 from toricchi.chow import (
@@ -17,6 +17,7 @@ from toricchi.chow import (
     multiply_ray_divisor,
 )
 from toricchi.divisor import TorusDivisor, first_cone_containing
+from toricchi.engine import FanEngine
 from toricchi.errors import DomainError, ToricError
 
 P2 = projective_space(2)
@@ -154,12 +155,38 @@ def test_move_choice_independence(seed, coeffs):
 
 
 def test_move_choice_independence_3d():
-    fan = build_catalog("p1xp1xp1")
-    terms = exp_divisor(TorusDivisor(fan, (2, 1, -1, 0, 3, 1)), fan.dim)
-    base = degree(apply_divisor_polynomial(fundamental_class(fan), terms))
-    for seed in range(5):
-        alt = apply_polynomial(fundamental_class(fan), terms, random_chooser(seed))
-        assert degree(alt) == base
+    # on p1xp1xp1 every move lands on the ray opposite ρ, which spans no
+    # cone with τ; p1xp2 and p3 have moves that count
+    for name, coeffs in (
+        ("p1xp1xp1", (2, 1, -1, 0, 3, 1)),
+        ("p1xp2", (2, -1, 1, 3, 0)),
+        ("p3", (1, 2, -1, 3)),
+    ):
+        fan = build_catalog(name)
+        terms = exp_divisor(TorusDivisor(fan, coeffs), fan.dim)
+        base = degree(apply_divisor_polynomial(fundamental_class(fan), terms))
+        for seed in range(5):
+            alt = apply_polynomial(fundamental_class(fan), terms, random_chooser(seed))
+            assert degree(alt) == base, (name, seed)
+
+
+def test_doubled_move_rows_are_seen(monkeypatch):
+    # a planted fault: every engine pairing doubled. The reference move reads
+    # fan.dual_basis, so on p1xp2 some product must now differ from it
+    fan = build_catalog("p1xp2")
+    squares = [multiply_ray_divisor(fundamental_class(fan), rho) for rho in range(5)]
+    for rho, cls in enumerate(squares):
+        assert multiply_ray_divisor(cls, rho).parts == times_ray(cls, rho, lex_first).parts
+    row = FanEngine.move_row
+
+    def doubled(self, sigma, rho):
+        return tuple((g, 2 * p) for g, p in row(self, sigma, rho))
+
+    monkeypatch.setattr(FanEngine, "move_row", doubled)
+    assert any(
+        multiply_ray_divisor(cls, rho).parts != times_ray(cls, rho, lex_first).parts
+        for rho, cls in enumerate(squares)
+    )
 
 
 def test_first_cone_containing_is_lex_first():

@@ -250,7 +250,6 @@ ENTRY_POINTS = {
     "step_intermediate_direct": lambda f, d: todd.step_intermediate_direct(f, d, 0),
     "chi_recursive": oracle.chi_recursive,
     "chi_graded_cohomology": oracle.chi_graded_cohomology,
-    "cohomology_scan_detail": oracle.cohomology_scan_detail,
     "chi_by_method": lambda f, d: oracle.chi_by_method(f, d, "recursive"),
     "serre_duality_check": oracle.serre_duality_check,
     "count_lattice_points": oracle.count_lattice_points,

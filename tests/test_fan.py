@@ -45,7 +45,6 @@ from toricchi.oracle import (
     canonical_representative,
     chi_graded_cohomology,
     chi_recursive,
-    cohomology_scan_detail,
     count_lattice_points,
 )
 from toricchi.report import run_verification
@@ -409,10 +408,9 @@ ENTRY_POINTS = pytest.mark.parametrize(
         lambda f, d: count_lattice_points(f, d),
         lambda f, d: verify_ishida(f),
         lambda f, d: verify_induction_step(f, d, 0),
-        lambda f, d: cohomology_scan_detail(f, d),
     ],
     ids=["chi_hrr", "chi_recursive", "chi_graded_cohomology", "count_lattice_points",
-         "verify_ishida", "verify_induction_step", "cohomology_scan_detail"],
+         "verify_ishida", "verify_induction_step"],
 )
 
 
@@ -473,7 +471,6 @@ _BAD_INTEGER = {
     "canonical_representative-coeffs": (
         DivisorError, lambda: canonical_representative(_P2, (2.5, 0, 0))
     ),
-    "chi_recursive-ray_order": (ToricError, lambda: chi_recursive(_P2, _D, (0.0, 1.0, 2.0))),
     "star_fan-tau": (ToricError, lambda: star_fan(_P2, (0, "a"))),
     "todd_univariate-order": (ToricError, lambda: todd_univariate(2.0)),
     "run_verification-trials": (ToricError, lambda: run_verification(_P2, 2.5)),

@@ -25,6 +25,7 @@ from toricchi.catalog import (
 from toricchi.chow import DegreeTable, MonomialWalk, degree, exp_divisor, multiply_ray_divisor
 from toricchi.divisor import TorusDivisor, is_linearly_equivalent, ray_divisor
 from toricchi.fan import Fan
+from toricchi.intlinalg import dot
 from toricchi.todd import (
     chi_hrr,
     chi_hrr_direct,
@@ -156,19 +157,17 @@ def test_scaled_table_entries_are_the_exact_degrees(name):
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1xp1", "p1^4", "surface17"])
 def test_weights_are_the_scaled_exponential(name):
-    # n!/α! · a′^α is n! times the e^{D′} coefficient of D^α, D′ zero on σ
+    # n!/α! · a′^α is n! times the e^{D′} coefficient of D^α, D′ zero on σ;
+    # D′ = D − div(χ^m), m = Σ_i a_{σ_i} m_i over σ's dual basis, is built
+    # here from fan.dual_basis and dot, not from the walk's divisor.zero_on
     fan = FANS[name]()
     walk = MonomialWalk(fan, fan.max_cones[-1])
     d = divisors(name, fan, count=1)[1]
     weights = walk.weights(d.coeffs)
-    shifted = [
-        a - sum(s * t for s, t in zip((d.coeffs[i] for i in walk.sigma), row))
-        for a, row in zip((d.coeffs[g] for g in walk.off), walk.shifts)
-    ]
-    coeffs = [0] * len(fan.rays)
-    for g, a in zip(walk.off, shifted):
-        coeffs[g] = a
-    zeroed = TorusDivisor(fan, coeffs)
+    dual = fan.dual_basis(walk.sigma)
+    m = [sum(d.coeffs[i] * v[k] for i, v in zip(walk.sigma, dual)) for k in range(fan.dim)]
+    zeroed = TorusDivisor(fan, tuple(a - dot(m, u) for a, u in zip(d.coeffs, fan.rays)))
+    assert all(zeroed.coeffs[i] == 0 for i in walk.sigma)
     assert is_linearly_equivalent(d, zeroed) is not None
     terms = {t.rays: t.coeff for t in exp_divisor(zeroed, fan.dim)}
     top = math.factorial(fan.dim)

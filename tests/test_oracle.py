@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _relabel import relabel
+
 from toricchi import clear_caches, kernel, oracle
 from toricchi.catalog import (
     build_catalog,
@@ -36,12 +38,12 @@ from toricchi.oracle import (
     chi_by_method,
     chi_graded_cohomology,
     chi_recursive,
-    cohomology_scan_detail,
     count_lattice_points,
     is_nef,
     serre_duality_check,
 )
-from toricchi.todd import chi_hrr
+from toricchi.report import render_verification, run_verification
+from toricchi.todd import chi_hrr, verify_ishida
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -51,6 +53,20 @@ def test_chi_recursive_base_cases():
     assert chi_recursive(P1, TorusDivisor(P1, (3, 0))) == 4
     assert chi_recursive(P1, TorusDivisor(P1, (0, -2))) == -1
     assert chi_recursive(P2, zero_divisor(P2)) == 1
+
+
+def test_point_fan_gives_one_everywhere():
+    # the fan of a point has no rays: every route, the lattice-point count
+    # and the nef test run their general code and must give the point's
+    # values, with no dimension-0 branch to lean on
+    point = Fan(0, (), ((),))
+    d = TorusDivisor(point, ())
+    assert chi_hrr(point, d) == chi_recursive(point, d) == 1
+    assert chi_graded_cohomology(point, d) == count_lattice_points(point, d) == 1
+    assert is_nef(point, d) is True
+    assert verify_ishida(point) is True
+    report = render_verification(point, "point", run_verification(point, 2))
+    assert report.splitlines()[-1].startswith("RESULT PASS")
 
 
 def test_chi_recursive_p2():
@@ -154,14 +170,21 @@ def test_hermite_and_sigma0_forms_differ_on_the_blowups(name):
 
 
 def test_chi_recursive_ray_order_is_irrelevant():
-    fan = build_catalog("f2")
-    d = TorusDivisor(fan, (3, -1, 2, 0))
-    base = chi_recursive(fan, d)
-    rng = random.Random(17)
-    order = list(range(4))
-    for _ in range(6):
-        rng.shuffle(order)
-        assert chi_recursive(fan, d, ray_order=tuple(order)) == base
+    # relabelling the rays reorders the recursion's picks, moves σ₀ and
+    # reorders every star fan; no route may notice
+    for name in ("f2", "bl3_p2", "p1xp2", "p3"):
+        fan = build_catalog(name)
+        rng = random.Random(name)
+        draws = [tuple(rng.randint(-5, 5) for _ in fan.rays) for _ in range(4)]
+        base = [chi_recursive(fan, TorusDivisor(fan, c)) for c in draws]
+        order = list(range(len(fan.rays)))
+        for _ in range(4):
+            rng.shuffle(order)
+            other, move = relabel(fan, order)
+            for coeffs, want in zip(draws, base):
+                d = TorusDivisor(other, move(coeffs))
+                assert chi_recursive(other, d) == chi_hrr(other, d) == want, (name, order)
+                assert chi_graded_cohomology(other, d) == want, (name, order)
 
 
 def test_bad_recursion_budget_is_a_domain_error(monkeypatch):
@@ -170,27 +193,22 @@ def test_bad_recursion_budget_is_a_domain_error(monkeypatch):
         chi_recursive(P2, TorusDivisor(P2, (1, 0, 0)))
 
 
-def test_chi_recursive_rejects_bad_ray_order():
-    with pytest.raises(ToricError, match="permutation"):
-        chi_recursive(P2, zero_divisor(P2), ray_order=(0, 1))
-    with pytest.raises(ToricError, match="permutation"):
-        chi_recursive(P2, zero_divisor(P2), ray_order=(0, 1, 1))
-
-
 def test_recursion_budget(monkeypatch):
     monkeypatch.setenv("TORIC_RECURSION_BUDGET", "0")
-    # fresh memo via ray_order so the cached global table cannot satisfy this
+    # an empty memo, so no earlier call's entries can satisfy this
+    clear_caches()
     with pytest.raises(RecursionBudgetExceeded):
-        chi_recursive(P2, TorusDivisor(P2, (7, 3, 1)), ray_order=(0, 1, 2))
+        chi_recursive(P2, TorusDivisor(P2, (7, 3, 1)))
     monkeypatch.setenv("TORIC_RECURSION_BUDGET", "100000")
-    assert chi_recursive(P2, TorusDivisor(P2, (7, 3, 1)), ray_order=(0, 1, 2)) > 0
+    assert chi_recursive(P2, TorusDivisor(P2, (7, 3, 1))) > 0
 
 
 @pytest.mark.parametrize("a", [30000, -30000])
 def test_chi_recursive_long_chain_matches_hrr(a):
     # the chain along D_0 has |a| links; it is a loop, so no depth limit is met
     d = TorusDivisor(P2, (a, 0, 0))
-    assert chi_recursive(P2, d, ray_order=(0, 1, 2)) == chi_hrr(P2, d)
+    clear_caches()
+    assert chi_recursive(P2, d) == chi_hrr(P2, d)
 
 
 def _python(code: str) -> str:
@@ -224,21 +242,24 @@ def test_chi_recursive_under_recursion_limit_120():
 
 
 @pytest.mark.parametrize(
-    "fan, coeffs, order, least",
+    "fan, coeffs, least",
     [
-        (P2, (7, 3, 1), (0, 1, 2), 11),
-        (projective_space(3), (3, -2, 1, 2), (3, 1, 0, 2), 8),
+        (P2, (7, 3, 1), 11),
+        (projective_space(3), (3, -2, 1, 2), 8),
     ],
     ids=["p2", "p3"],
 )
-def test_least_recursion_budget_is_the_node_count(monkeypatch, fan, coeffs, order, least):
-    # one unit per memo miss on a nonzero class; pins the node count
+def test_least_recursion_budget_is_the_node_count(monkeypatch, fan, coeffs, least):
+    # one unit per memo miss on a nonzero class, from an empty memo; pins
+    # the node count
     d = TorusDivisor(fan, coeffs)
     monkeypatch.setenv("TORIC_RECURSION_BUDGET", str(least - 1))
+    clear_caches()
     with pytest.raises(RecursionBudgetExceeded):
-        chi_recursive(fan, d, ray_order=order)
+        chi_recursive(fan, d)
     monkeypatch.setenv("TORIC_RECURSION_BUDGET", str(least))
-    assert chi_recursive(fan, d, ray_order=order) == chi_hrr(fan, d)
+    clear_caches()
+    assert chi_recursive(fan, d) == chi_hrr(fan, d)
 
 
 def test_chi_memo_is_emptied_over_its_cap(monkeypatch):
@@ -331,12 +352,12 @@ def _shell_walk(fan, coeffs, table):
 
 
 def test_scan_detail_reports_stable_box():
-    # the box returned is the unpadded vertex box, and the two shells
-    # around it, the old walk's stopping rule, add nothing
+    # the route sums the unpadded vertex box, and the two shells around
+    # it, the old walk's stopping rule, add nothing
     coeffs = (3, 0, 0)
-    chi, lo, hi = cohomology_scan_detail(P2, TorusDivisor(P2, coeffs))
-    assert chi == 10
-    assert (lo, hi) == oracle._arrangement_box(P2, coeffs) == ((-3, 0), (0, 3))
+    assert chi_graded_cohomology(P2, TorusDivisor(P2, coeffs)) == 10
+    lo, hi = oracle._arrangement_box(P2, coeffs)
+    assert (lo, hi) == ((-3, 0), (0, 3))
     bounds = [-a for a in coeffs]
     table = oracle._contribution_table(P2)
     for grow in (0, 1):
@@ -397,9 +418,8 @@ def test_vertex_box_holds_every_term_of_the_shell_walk(name):
     for _ in range(34 if fan.dim <= 3 else 12):
         coeffs = tuple(rng.randint(-6, 6) for _ in fan.rays)
         want, wlo, whi = _shell_walk(fan, coeffs, table)
-        chi, lo, hi = cohomology_scan_detail(fan, TorusDivisor(fan, coeffs))
-        assert (lo, hi) == oracle._arrangement_box(fan, coeffs)
-        assert chi == want
+        lo, hi = oracle._arrangement_box(fan, coeffs)
+        assert chi_graded_cohomology(fan, TorusDivisor(fan, coeffs)) == want
         bounds = [-a for a in coeffs]
         outside = kernel.box_sum(wlo, whi, fan.rays, bounds, _Abs(table)) - kernel.box_sum(
             lo, hi, fan.rays, bounds, _Abs(table)
@@ -414,9 +434,9 @@ def test_p7_vertex_box_sizes(coeffs, points):
     # the shell walk summed 2,097,152 and 10,000,000 points here, plus shells
     fan = projective_space(7)
     d = TorusDivisor(fan, coeffs)
-    chi, lo, hi = cohomology_scan_detail(fan, d)
+    lo, hi = oracle._arrangement_box(fan, coeffs)
     assert math.prod(b - a + 1 for a, b in zip(lo, hi)) == points
-    assert chi == chi_hrr(fan, d)
+    assert chi_graded_cohomology(fan, d) == chi_hrr(fan, d)
 
 
 def test_scan_refuses_a_box_over_the_line_limit():
